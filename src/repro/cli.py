@@ -17,6 +17,7 @@ sampled series to CSV/JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -49,6 +50,7 @@ from .experiments import (
     figure4,
     figure4_repair,
     flash_crowd,
+    gauntlet,
     live_gauntlet,
     mitm_gauntlet,
     overhead,
@@ -79,14 +81,28 @@ POLICIES = {
     "first": FirstReplyPolicy,
 }
 
+#: Every gauntlet, by name: the gauntlet subcommands and ``experiment``
+#: both run these through :mod:`repro.experiments.gauntlet`.
+GAUNTLETS = {
+    g.name: g
+    for g in (
+        blackout_gauntlet.GAUNTLET,
+        chaos_soak.GAUNTLET,
+        dynamic_gauntlet.GAUNTLET,
+        figure3_liars.GAUNTLET,
+        figure4_repair.GAUNTLET,
+        flash_crowd.GAUNTLET,
+        live_gauntlet.GAUNTLET,
+        mitm_gauntlet.GAUNTLET,
+        scale_gauntlet.GAUNTLET,
+    )
+}
+
 EXPERIMENTS = {
     "figure1": figure1.main,
     "figure2": figure2.main,
     "figure3": figure3.main,
-    "figure3-liars": figure3_liars.main,
     "figure4": figure4.main,
-    "figure4-repair": figure4_repair.main,
-    "flash-crowd": flash_crowd.main,
     "theorem4": theorem4.main,
     "theorem8": theorem8.main,
     "theorem-bounds": theorem_bounds.main,
@@ -103,12 +119,10 @@ EXPERIMENTS = {
     "correctness": correctness.main,
     "asymmetry": delay_asymmetry.main,
     "ablations": ablations.main,
-    "chaos-soak": chaos_soak.main,
-    "dynamic-gauntlet": dynamic_gauntlet.main,
-    "blackout-gauntlet": blackout_gauntlet.main,
-    "mitm-gauntlet": mitm_gauntlet.main,
-    "live-gauntlet": live_gauntlet.main,
-    "scale-gauntlet": scale_gauntlet.main,
+    **{
+        name: functools.partial(gauntlet.run, g)
+        for name, g in GAUNTLETS.items()
+    },
 }
 
 
@@ -283,8 +297,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    runner()
-    return 0
+    return 1 if runner() is False else 0
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
@@ -361,192 +374,37 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure3_liars(args: argparse.Namespace) -> int:
-    """The ``figure3-liars`` subcommand: the Byzantine liar gauntlet."""
-    return 0 if figure3_liars.main(json_path=args.json) else 1
+def cmd_gauntlet(g: gauntlet.Gauntlet, args: argparse.Namespace) -> int:
+    """Every gauntlet subcommand: run ``g`` with the parsed flags."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return gauntlet.main(g, **flags)
 
 
-def cmd_flash_crowd(args: argparse.Namespace) -> int:
-    """The ``flash-crowd`` subcommand: overload vs the sync plane."""
-    if not args.seeds:
-        print("flash-crowd: need at least one seed", file=sys.stderr)
-        return 2
-    ok = flash_crowd.main(json_path=args.json, seeds=args.seeds)
-    return 0 if ok else 1
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos`` subcommand: seeded fault storms with the oracle on."""
-    if args.horizon <= 0 or args.tau <= 0:
-        print("chaos: --horizon and --tau must be positive", file=sys.stderr)
-        return 2
-    if args.servers < 3:
-        print("chaos: --servers must be at least 3", file=sys.stderr)
-        return 2
-    failures_seen = 0
-    rows = []
-    for seed in range(args.seeds):
-        for policy_name in [p.upper() for p in args.policies]:
-            telemetry = (
-                ServiceTelemetry(spans=False, sample_period=args.tau)
-                if args.telemetry_out
-                else None
-            )
-            outcome = chaos_soak.run_soak(
-                policy_name,
-                seed,
-                n=args.servers,
-                tau=args.tau,
-                horizon=args.horizon,
-                telemetry=telemetry,
-            )
-            if telemetry is not None:
-                run_dir = os.path.join(
-                    args.telemetry_out, f"{policy_name.lower()}-seed{seed}"
-                )
-                telemetry.write(
-                    run_dir,
-                    summary_extra={
-                        "policy": policy_name,
-                        "seed": seed,
-                        "violations": outcome.violations,
-                        "exemptions": outcome.exemptions,
-                    },
-                )
-            failures_seen += outcome.violations
-            rows.append(
-                [
-                    policy_name,
-                    seed,
-                    outcome.events_applied,
-                    outcome.checks,
-                    outcome.violations,
-                    outcome.exemptions,
-                    f"{outcome.survival_rate:.3f}",
-                    f"{outcome.schedule_signature:08x}",
-                    f"{outcome.trace_digest:08x}",
-                ]
-            )
-    print(
-        f"chaos soak: {args.seeds} seed(s) x {args.policies} on a "
-        f"{args.servers}-mesh, {args.horizon:g}s horizon"
-    )
-    print(
-        render_table(
-            [
-                "policy",
-                "seed",
-                "faults",
-                "checks",
-                "violations",
-                "exempt",
-                "survival",
-                "schedule sig",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    if args.compare:
-        comparison = chaos_soak.compare_hardening(
-            args.seed, n=args.servers, tau=args.tau, horizon=args.horizon
-        )
-        print(
-            f"\nhardening payoff vs Byzantine {comparison.liar} + 30% loss: "
-            f"inconsistencies {comparison.baseline_inconsistencies} (plain) "
-            f"-> {comparison.hardened_inconsistencies} (hardened), "
-            f"worst honest E {comparison.baseline_worst_error:.3f} -> "
-            f"{comparison.hardened_worst_error:.3f}, "
-            f"{comparison.hardened_quarantines} quarantines"
-        )
-    if failures_seen:
-        print(f"\n{failures_seen} invariant violation(s)!", file=sys.stderr)
-        return 1
-    print("\nzero invariant violations for non-faulty servers.")
-    return 0
-
-
-def cmd_blackout_gauntlet(args: argparse.Namespace) -> int:
-    """The ``blackout-gauntlet`` subcommand: holdover vs free-running MM."""
-    if not args.seeds:
-        print("blackout-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    ok = blackout_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_mitm_gauntlet(args: argparse.Namespace) -> int:
-    """The ``mitm-gauntlet`` subcommand: on-path adversary vs defenses."""
-    if not args.seeds:
-        print("mitm-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    ok = mitm_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_live_gauntlet(args: argparse.Namespace) -> int:
-    """The ``live-gauntlet`` subcommand: real-socket cluster under chaos."""
-    if not args.seeds:
-        print("live-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("live-gauntlet: --duration must be positive", file=sys.stderr)
-        return 2
-    ok = live_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-        duration=args.duration,
-    )
-    return 0 if ok else 1
-
-
-def cmd_dynamic_gauntlet(args: argparse.Namespace) -> int:
-    """The ``dynamic-gauntlet`` subcommand: topology churn vs local skew."""
-    if not args.seeds:
-        print("dynamic-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    if args.horizon <= 0:
-        print("dynamic-gauntlet: --horizon must be positive", file=sys.stderr)
-        return 2
-    ok = dynamic_gauntlet.main(
-        seeds=args.seeds,
-        horizon=args.horizon,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_scale_gauntlet(args: argparse.Namespace) -> int:
-    """The ``scale-gauntlet`` subcommand: MM vs IM at 1k–50k servers."""
-    if not args.sizes or any(size < 1 for size in args.sizes):
-        print("scale-gauntlet: --sizes must be positive", file=sys.stderr)
-        return 2
-    if args.shards < 1 or args.processes < 0:
-        print(
-            "scale-gauntlet: --shards must be >= 1 and --processes >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    ok = scale_gauntlet.main(
-        sizes=args.sizes,
-        seeds=args.seeds,
-        shards=args.shards,
-        processes=args.processes,
-        tau=args.tau,
-        cycles=args.cycles,
-        json_path=args.json,
-    )
-    return 0 if ok else 1
+def _gauntlet_parser(
+    sub,
+    name: str,
+    help: str,
+    *,
+    command: Optional[str] = None,
+    seeds: bool = True,
+    json: bool = True,
+) -> argparse.ArgumentParser:
+    """A gauntlet subcommand: ``--seeds`` (defaulting to the gauntlet's
+    own), ``--json``, and ``--telemetry-out`` when it writes bundles."""
+    g = GAUNTLETS[name]
+    parser = sub.add_parser(command or name, help=help)
+    if seeds:
+        parser.add_argument("--seeds", type=int, nargs="+", default=list(g.seeds),
+                            help="seeds to run (each runs every cell and arm)")
+    if json:
+        parser.add_argument("--json", default=None, metavar="PATH",
+                            help="also write the JSON report here (CI artefact)")
+    if g.telemetry is not None:
+        parser.add_argument("--telemetry-out", metavar="DIR",
+                            help="write each run's telemetry bundle into "
+                                 f"DIR/{g.bundle}/ (the nightly soak artefacts)")
+    parser.set_defaults(func=functools.partial(cmd_gauntlet, g))
+    return parser
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -798,130 +656,98 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="experiment name, or 'list'")
     exp.set_defaults(func=cmd_experiment)
 
-    f3l = sub.add_parser(
+    _gauntlet_parser(
+        sub,
         "figure3-liars",
-        help="Byzantine liar gauntlet: plain IM vs FT-IM across topologies",
+        "Byzantine liar gauntlet: plain IM vs FT-IM across topologies",
+        seeds=False,
     )
-    f3l.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    f3l.set_defaults(func=cmd_figure3_liars)
 
-    fcw = sub.add_parser(
+    _gauntlet_parser(
+        sub,
         "flash-crowd",
-        help="client overload vs the sync plane: plain vs admission-controlled",
+        "client overload vs the sync plane: plain vs admission-controlled",
     )
-    fcw.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    fcw.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 13],
-                     help="seeds to run (each runs both arms)")
-    fcw.set_defaults(func=cmd_flash_crowd)
 
-    cha = sub.add_parser("chaos", help="seeded chaos soak with invariant oracle")
-    cha.add_argument("--policies", nargs="+", default=["mm", "im"],
-                     choices=["mm", "im"])
-    cha.add_argument("--servers", type=int, default=5)
-    cha.add_argument("--tau", type=float, default=30.0)
-    cha.add_argument("--horizon", type=float, default=1800.0,
+    chaos = GAUNTLETS["chaos-soak"]
+    cha = _gauntlet_parser(
+        sub,
+        "chaos-soak",
+        "seeded chaos soak with invariant oracle",
+        command="chaos",
+        seeds=False,
+        json=False,
+    )
+    cha.add_argument("--policies", dest="arms", nargs="+",
+                     default=list(chaos.arms), choices=list(chaos.arms))
+    cha.add_argument("--servers", type=int, default=chaos.params["servers"])
+    cha.add_argument("--tau", type=float, default=chaos.params["tau"])
+    cha.add_argument("--horizon", type=float, default=chaos.params["horizon"],
                      help="simulated seconds per storm")
     cha.add_argument("--seeds", type=int, default=3,
                      help="number of seeded storms per policy")
-    cha.add_argument("--seed", type=int, default=0,
+    cha.add_argument("--seed", dest="compare_seed", type=int,
+                     default=chaos.params["compare_seed"],
                      help="seed for the --compare run")
     cha.add_argument("--compare", action="store_true",
                      help="also run the plain-vs-hardened comparison")
-    cha.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each storm's Prometheus snapshot and "
-                          "summary into DIR/<policy>-seed<k>/ (the nightly "
-                          "soak artefacts)")
-    cha.set_defaults(func=cmd_chaos)
 
-    dyn = sub.add_parser(
+    dyn = _gauntlet_parser(
+        sub,
         "dynamic-gauntlet",
-        help="live topology mutation: MM/IM/gradient arms vs the "
-             "local-skew bound under edge churn and mobility",
+        "live topology mutation: MM/IM/gradient arms vs the local-skew "
+        "bound under edge churn and mobility",
     )
-    dyn.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                     help="seeds to run (each runs every cell and arm)")
-    dyn.add_argument("--horizon", type=float, default=1800.0,
+    dyn.add_argument("--horizon", type=float,
+                     default=GAUNTLETS["dynamic-gauntlet"].params["horizon"],
                      help="simulated seconds per run")
-    dyn.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    dyn.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each run's Prometheus snapshot and summary "
-                          "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                          "gauntlet artefacts)")
-    dyn.set_defaults(func=cmd_dynamic_gauntlet)
 
-    blk = sub.add_parser(
+    _gauntlet_parser(
+        sub,
         "blackout-gauntlet",
-        help="reference blackout: disciplined holdover vs free-running MM "
-             "on true error, monotonicity and reintegration",
+        "reference blackout: disciplined holdover vs free-running MM on "
+        "true error, monotonicity and reintegration",
     )
-    blk.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                     help="seeds to run (each runs every cell and arm)")
-    blk.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    blk.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each run's Prometheus snapshot and summary "
-                          "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                          "gauntlet artefacts)")
-    blk.set_defaults(func=cmd_blackout_gauntlet)
 
-    mitm = sub.add_parser(
+    _gauntlet_parser(
+        sub,
         "mitm-gauntlet",
-        help="on-path adversary: tamper/replay/delay-attack/spoof cells "
-             "vs plain, hardened, and authenticated arms under the "
-             "strict invariant oracle",
+        "on-path adversary: tamper/replay/delay-attack/spoof cells vs "
+        "plain, hardened, and authenticated arms under the strict "
+        "invariant oracle",
     )
-    mitm.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                      help="seeds to run (each runs every cell and arm)")
-    mitm.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the JSON report here (CI artefact)")
-    mitm.add_argument("--telemetry-out", metavar="DIR",
-                      help="write each run's Prometheus snapshot and summary "
-                           "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                           "gauntlet artefacts)")
-    mitm.set_defaults(func=cmd_mitm_gauntlet)
 
-    live = sub.add_parser(
+    live = _gauntlet_parser(
+        sub,
         "live-gauntlet",
-        help="real-socket runtime plane: a supervised 5-process loopback "
-             "UDP cluster behind a fault-injecting proxy (10%% loss, delay "
-             "spike, on-path tamper, SIGKILL crash/restart) — plain vs "
-             "hardened+authenticated arms under live MM-1 probes",
+        "real-socket runtime plane: a supervised 5-process loopback UDP "
+        "cluster behind a fault-injecting proxy (10%% loss, delay spike, "
+        "on-path tamper, SIGKILL crash/restart) — plain vs "
+        "hardened+authenticated arms under live MM-1 probes",
     )
-    live.add_argument("--seeds", type=int, nargs="+", default=[0],
-                      help="seeds to run (each runs both arms sequentially)")
-    live.add_argument("--duration", type=float, default=12.0,
+    live.add_argument("--duration", type=float,
+                      default=GAUNTLETS["live-gauntlet"].params["duration"],
                       help="measurement window per arm, seconds of wall time")
-    live.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the JSON report here (CI artefact)")
-    live.add_argument("--telemetry-out", metavar="DIR",
-                      help="write each node's Prometheus snapshot into "
-                           "DIR/<arm>/<node>.prom (the nightly soak artefact)")
-    live.set_defaults(func=cmd_live_gauntlet)
 
-    scl = sub.add_parser(
+    scale = GAUNTLETS["scale-gauntlet"]
+    scl = _gauntlet_parser(
+        sub,
         "scale-gauntlet",
-        help="vectorized kernel at scale: MM vs IM stratum hierarchies at "
-             "1k-50k servers, per-stratum Lemma 1 growth, Theorem 8 "
-             "comparison, neighbour-interval census",
+        "vectorized kernel at scale: MM vs IM stratum hierarchies at "
+        "1k-50k servers, per-stratum Lemma 1 growth, Theorem 8 "
+        "comparison, neighbour-interval census",
     )
-    scl.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000],
+    scl.add_argument("--sizes", dest="cells", type=int, nargs="+",
+                     default=list(scale.cells),
                      help="stratum-hierarchy server counts to run")
-    scl.add_argument("--seeds", type=int, nargs="+", default=[0],
-                     help="seeds to run (each runs MM and IM per size)")
-    scl.add_argument("--shards", type=int, default=4,
+    scl.add_argument("--shards", type=int, default=scale.params["shards"],
                      help="topology shards for the bulk kernel")
-    scl.add_argument("--processes", type=int, default=0,
+    scl.add_argument("--processes", type=int, default=scale.params["processes"],
                      help="worker processes (0 = advance shards in-process)")
-    scl.add_argument("--tau", type=float, default=60.0,
+    scl.add_argument("--tau", type=float, default=scale.params["tau"],
                      help="poll period, simulated seconds")
-    scl.add_argument("--cycles", type=int, default=8,
+    scl.add_argument("--cycles", type=int, default=scale.params["cycles"],
                      help="poll cycles to simulate per run")
-    scl.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    scl.set_defaults(func=cmd_scale_gauntlet)
 
     prf = sub.add_parser(
         "profile",

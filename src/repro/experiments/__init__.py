@@ -1,8 +1,9 @@
 """Experiments — one module per paper figure, theorem, and anecdote.
 
 Each module exposes ``run(...)`` returning a typed result object and a
-``main()`` that prints the reproduced artefact; the benchmark suite under
-``benchmarks/`` wraps these with pytest-benchmark.  See DESIGN.md §3 for
+``main()`` that prints the reproduced artefact — except the gauntlets,
+which declare a ``GAUNTLET`` run by :mod:`.gauntlet`; the benchmark suite
+under ``benchmarks/`` wraps these with pytest-benchmark.  See DESIGN.md §3 for
 the experiment index and EXPERIMENTS.md for paper-vs-measured records.
 """
 

@@ -41,24 +41,18 @@ isolated) — crossed with both arms and every seed.  Acceptance
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.mm import MMPolicy
-from ..faults import (
-    FaultSchedule,
-    InvariantMonitor,
-    ReferenceBlackout,
-    TotalPartition,
-)
-from ..faults.injector import FaultInjector
+from ..faults import FaultSchedule, ReferenceBlackout, TotalPartition, attach_chaos
 from ..holdover import HoldoverConfig, HoldoverState, MonotonicityProbe
 from ..network.delay import UniformDelay
 from ..network.topology import star
 from ..service.builder import ServerSpec, SimulatedService, build_service
-from .chaos_soak import trace_digest
+from ..simulation.trace import trace_digest
+from ..telemetry import ServiceTelemetry
+from . import gauntlet
 
 #: The two arms: the paper's rule MM free-running, and disciplined holdover.
 ARMS = ("mm", "holdover")
@@ -257,32 +251,16 @@ def run_gauntlet(
     service = _build(arm, seed, telemetry=telemetry)
     names = sorted(service.servers)
     hub, leaves = names[0], names[1:]
-    schedule = _schedule(cell, hub)
-    injector = FaultInjector(
-        service.engine,
-        service.network,
-        service.servers,
-        schedule,
-        rng=service.rng.stream("faults/injector"),
-        trace=service.trace,
+    # strict: link faults earn no invariant exemptions anyway, so hold
+    # every server to the invariants at all times.
+    _, oracle = attach_chaos(
+        service,
+        _schedule(cell, hub),
+        monitor_period=monitor_period,
+        strict=True,
     )
     probe = MonotonicityProbe(service.engine, service.servers, period=1.0)
-    registry = None
-    if telemetry is not None and telemetry.registry.enabled:
-        registry = telemetry.registry
-    # schedule=None: link faults earn no invariant exemptions anyway, so
-    # hold every server to the invariants at all times.
-    oracle = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=monitor_period,
-        registry=registry,
-    )
-    injector.start()
     probe.start()
-    oracle.start()
 
     blackout_end = BLACKOUT_AT + cell.blackout
     horizon = blackout_end + RECOVERY
@@ -353,21 +331,6 @@ def run_gauntlet(
     )
 
 
-def run_matrix(
-    *,
-    cells: Sequence[GauntletCell] = CELLS,
-    arms: Sequence[str] = ARMS,
-    seeds: Sequence[int] = (0, 1, 2),
-) -> List[GauntletOutcome]:
-    """Every (cell, arm, seed) run of the gauntlet."""
-    return [
-        run_gauntlet(cell, arm, seed)
-        for cell in cells
-        for arm in arms
-        for seed in seeds
-    ]
-
-
 def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
     """The acceptance criteria, as a list of failures (empty = pass)."""
     problems: List[str] = []
@@ -412,130 +375,47 @@ def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
     return problems
 
 
-def main(
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    json_path: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
-) -> bool:
-    """Run the matrix, print the report, return overall pass/fail."""
-    from ..analysis.plots import render_table
+def _seconds(delay: float) -> str:
+    return "-" if delay == NEVER else f"{delay:.0f}"
 
-    outcomes: List[GauntletOutcome] = []
-    for cell in CELLS:
-        for arm in ARMS:
-            for seed in seeds:
-                telemetry = None
-                if telemetry_dir:
-                    from ..telemetry import ServiceTelemetry
 
-                    telemetry = ServiceTelemetry(
-                        spans=False, sample_period=TAU
-                    )
-                outcome = run_gauntlet(
-                    cell, arm, seed, telemetry=telemetry
-                )
-                outcomes.append(outcome)
-                if telemetry is not None:
-                    run_dir = os.path.join(
-                        telemetry_dir, f"{cell.label}-{arm}-seed{seed}"
-                    )
-                    telemetry.write(
-                        run_dir,
-                        summary_extra={
-                            "cell": cell.label,
-                            "arm": arm,
-                            "seed": seed,
-                            "peak_error_blackout": outcome.peak_error_blackout,
-                            "time_to_resync": outcome.time_to_resync,
-                            "monotonicity_violations": (
-                                outcome.monotonicity_violations
-                            ),
-                            "violations": outcome.violations,
-                        },
-                    )
-    # Deterministic replay: re-run the first combination and demand a
-    # byte-identical trace.
-    first = outcomes[0]
-    replay = run_gauntlet(CELLS[0], first.arm, first.seed)
-    replay_ok = replay.trace_digest == first.trace_digest
-
-    print(
-        f"blackout gauntlet: {len(CELLS)} cell(s) x {ARMS} x "
-        f"{len(seeds)} seed(s), star({len(LEAF_SKEWS) + 1}), τ={TAU:g}s, "
-        f"blackout at t={BLACKOUT_AT:g}s"
-    )
-    rows = [
-        [
-            o.cell,
-            o.arm,
-            o.seed,
-            f"{o.peak_error_blackout * 1e3:.1f}",
-            f"{o.mean_error_blackout * 1e3:.1f}",
-            "-" if o.time_to_resync == NEVER else f"{o.time_to_resync:.0f}",
-            (
-                "-"
-                if o.arm != "holdover" or o.time_to_synced == NEVER
-                else f"{o.time_to_synced:.0f}"
-            ),
-            o.monotonicity_violations,
-            o.violations,
-            f"{o.holdover_entries}/{o.degraded}",
-            o.suppressed_resets,
-            f"{o.trace_digest:08x}",
-        ]
-        for o in outcomes
-    ]
-    print(
-        render_table(
-            [
-                "cell",
-                "arm",
-                "seed",
-                "peak ms",
-                "mean ms",
-                "resync s",
-                "synced s",
-                "mono",
-                "viol",
-                "hold/deg",
-                "suppr",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    problems = evaluate(outcomes)
-    if not replay_ok:
-        problems.append(
-            f"replay of {first.cell}/{first.arm}/seed {first.seed} "
-            f"diverged: {replay.trace_digest:08x} != {first.trace_digest:08x}"
-        )
-    if json_path:
-        report = {
-            "tau": TAU,
-            "blackout_at": BLACKOUT_AT,
-            "seeds": list(seeds),
-            "replay_ok": replay_ok,
-            "ok": not problems,
-            "problems": problems,
-            "outcomes": [asdict(o) for o in outcomes],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nwrote JSON report to {json_path}")
-    if problems:
-        print()
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return False
-    print(
-        "\nholdover beat free-running MM on true error in every cell and "
-        "seed, served monotone time throughout, and both arms stayed "
-        "invariant-clean; replay digests matched."
-    )
-    return True
+GAUNTLET = gauntlet.Gauntlet(
+    name="blackout-gauntlet",
+    run=run_gauntlet,
+    cells=CELLS,
+    arms=ARMS,
+    setting={
+        "topology": f"star({len(LEAF_SKEWS) + 1})",
+        "tau": TAU,
+        "blackout_at": BLACKOUT_AT,
+    },
+    columns=(
+        ("cell", lambda o: o.cell),
+        ("arm", lambda o: o.arm),
+        ("seed", lambda o: o.seed),
+        ("peak ms", lambda o: f"{o.peak_error_blackout * 1e3:.1f}"),
+        ("mean ms", lambda o: f"{o.mean_error_blackout * 1e3:.1f}"),
+        ("resync s", lambda o: _seconds(o.time_to_resync)),
+        ("synced s", lambda o: _seconds(o.time_to_synced)),
+        ("mono", lambda o: o.monotonicity_violations),
+        ("viol", lambda o: o.violations),
+        ("hold/deg", lambda o: f"{o.holdover_entries}/{o.degraded}"),
+        ("suppr", lambda o: o.suppressed_resets),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    evaluate=evaluate,
+    telemetry=lambda: ServiceTelemetry(spans=False, sample_period=TAU),
+    summary=(
+        "cell",
+        "arm",
+        "seed",
+        "peak_error_blackout",
+        "time_to_resync",
+        "monotonicity_violations",
+        "violations",
+    ),
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(0 if main() else 1)
+    raise SystemExit(gauntlet.main(GAUNTLET))

@@ -18,9 +18,8 @@ liars.  This experiment runs seeded soak storms and reports:
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.im import IMPolicy
 from ..core.mm import MMPolicy
@@ -33,7 +32,9 @@ from ..faults import (
 from ..network.topology import full_mesh
 from ..service.builder import ServerSpec, SimulatedService, build_service
 from ..service.hardening import HardeningConfig
-from ..simulation.trace import TraceRecorder
+from ..simulation.trace import trace_digest
+from ..telemetry import ServiceTelemetry
+from . import gauntlet
 from .scenarios import grid
 
 #: Fault rates (events/hour) used by the soak — deliberately far above the
@@ -43,24 +44,6 @@ SOAK_RATES = dict(
     message_fault_rate=20.0,
     server_fault_rate=20.0,
 )
-
-
-def trace_digest(trace: TraceRecorder) -> int:
-    """A stable fingerprint of an entire run's trace.
-
-    Two runs with the same seed must produce byte-identical traces; the
-    digest is a CRC over a canonical rendering of every row.
-    """
-    crc = 0
-    for row in trace:
-        text = "%r|%s|%s|%s" % (
-            row.time,
-            row.kind,
-            row.source,
-            ",".join(f"{k}={row.data[k]!r}" for k in sorted(row.data)),
-        )
-        crc = zlib.crc32(text.encode("utf-8"), crc)
-    return crc
 
 
 @dataclass(frozen=True)
@@ -190,17 +173,13 @@ def run_soak(
     )
 
 
-def run_matrix(
-    *,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    policies: Sequence[str] = ("MM", "IM"),
-    horizon: float = 1800.0,
-) -> List[SoakOutcome]:
-    """Soak every (policy, seed) cell."""
+def evaluate(outcomes: Sequence[SoakOutcome]) -> List[str]:
+    """The acceptance criterion, as a list of failures (empty = pass)."""
     return [
-        run_soak(policy_name, seed, horizon=horizon)
-        for policy_name in policies
-        for seed in seeds
+        f"{o.policy} seed {o.seed}: {o.violations} invariant violation(s) "
+        f"for non-faulty servers"
+        for o in outcomes
+        if o.violations
     ]
 
 
@@ -367,82 +346,71 @@ def compare_hardening(
     )
 
 
-def main() -> None:
-    """Print the soak matrix and the hardening comparison."""
-    from ..analysis.plots import render_table
+def _run(
+    cell, policy: str, seed: int, *, servers: int, compare, compare_seed, **params
+) -> SoakOutcome:
+    return run_soak(policy.upper(), seed, n=servers, **params)
 
-    outcomes = run_matrix()
-    rows = [
-        [
-            o.policy,
-            o.seed,
-            o.events_applied,
-            o.checks,
-            o.violations,
-            o.exemptions,
-            f"{o.survival_rate:.3f}",
-            f"{o.final_max_error:.3f}",
-            f"{o.schedule_signature:08x}",
-            f"{o.trace_digest:08x}",
-        ]
-        for o in outcomes
-    ]
-    print("Chaos soak — seeded fault storms against a hardened 5-mesh")
+
+def _compare(
+    outcomes: Sequence[SoakOutcome],
+    seeds: Sequence[int],
+    *,
+    compare: bool,
+    compare_seed: int,
+    servers: int,
+    tau: float,
+    horizon: float,
+) -> Tuple[Dict[str, Any], List[str]]:
+    """The hardening payoff, when asked for: printed and reported."""
+    if not compare:
+        return {}, []
+    comparison = compare_hardening(compare_seed, n=servers, tau=tau, horizon=horizon)
     print(
-        render_table(
-            [
-                "policy",
-                "seed",
-                "faults",
-                "checks",
-                "violations",
-                "exempt",
-                "survival",
-                "final max E",
-                "schedule sig",
-                "trace digest",
-            ],
-            rows,
-        )
+        f"\nhardening payoff vs Byzantine {comparison.liar} + 30% loss: "
+        f"inconsistencies {comparison.baseline_inconsistencies} (plain) "
+        f"-> {comparison.hardened_inconsistencies} (hardened), "
+        f"worst honest E {comparison.baseline_worst_error:.3f} -> "
+        f"{comparison.hardened_worst_error:.3f}, "
+        f"{comparison.hardened_quarantines} quarantines"
     )
-    comparison = compare_hardening()
-    print(
-        "\nHardening payoff (30% loss + flapping links + Byzantine "
-        f"{comparison.liar}, {comparison.horizon:.0f} s):"
-    )
-    print(
-        render_table(
-            [
-                "variant",
-                "inconsistencies",
-                "worst honest E",
-                "honest correct",
-            ],
-            [
-                [
-                    "plain",
-                    comparison.baseline_inconsistencies,
-                    f"{comparison.baseline_worst_error:.3f}",
-                    f"{comparison.baseline_honest_correct:.3f}",
-                ],
-                [
-                    "hardened",
-                    comparison.hardened_inconsistencies,
-                    f"{comparison.hardened_worst_error:.3f}",
-                    f"{comparison.hardened_honest_correct:.3f}",
-                ],
-            ],
-        )
-    )
-    print(
-        f"\nhardened caught {comparison.hardened_invalid_replies} invalid "
-        f"replies, quarantined {comparison.hardened_quarantines} times, "
-        f"retried {comparison.hardened_retries} polls.\n"
-        "Expected shape: every soak row shows zero violations, and the "
-        "plain baseline's inconsistency count diverges with the horizon "
-        "while the hardened run rejects and quarantines the liar."
-    )
+    return {"hardening": asdict(comparison)}, []
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="chaos-soak",
+    run=_run,
+    arms=("mm", "im"),
+    seeds=(0, 1, 2, 3, 4),
+    params={
+        "servers": 5,
+        "tau": 30.0,
+        "horizon": 1800.0,
+        "compare": True,
+        "compare_seed": 0,
+    },
+    check=lambda cells, servers, **_: (
+        "--servers must be at least 3" if servers < 3 else None
+    ),
+    columns=(
+        ("policy", lambda o: o.policy),
+        ("seed", lambda o: o.seed),
+        ("faults", lambda o: o.events_applied),
+        ("checks", lambda o: o.checks),
+        ("violations", lambda o: o.violations),
+        ("exempt", lambda o: o.exemptions),
+        ("survival", lambda o: f"{o.survival_rate:.3f}"),
+        ("final max E", lambda o: f"{o.final_max_error:.3f}"),
+        ("schedule sig", lambda o: f"{o.schedule_signature:08x}"),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    evaluate=evaluate,
+    telemetry=lambda tau, **_: ServiceTelemetry(spans=False, sample_period=tau),
+    bundle=gauntlet.ARM_BUNDLE,
+    summary=("policy", "seed", "violations", "exemptions"),
+    supplement=_compare,
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(gauntlet.main(GAUNTLET))

@@ -34,9 +34,7 @@ resynchronizes, hopeless for one that free-runs.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.im import IMPolicy
@@ -49,11 +47,13 @@ from ..dynamic import (
     MobilityProcess,
     WaypointMobility,
 )
-from ..faults import InvariantMonitor
+from ..faults import attach_chaos
 from ..network.delay import UniformDelay
 from ..network.topology import ring
 from ..service.builder import ServerSpec, SimulatedService, build_service
-from .chaos_soak import trace_digest
+from ..simulation.trace import trace_digest
+from ..telemetry import ServiceTelemetry
+from . import gauntlet
 
 #: The three arms: the paper's two rules plus the gradient selection.
 ARMS = ("MM", "IM", "gradient")
@@ -228,24 +228,13 @@ def run_gauntlet(
     skew = LocalSkewMonitor(
         service.engine, service, bound=bound, period=monitor_period
     )
-    registry = None
-    if telemetry is not None and telemetry.registry.enabled:
-        registry = telemetry.registry
-    # schedule=None: no fault windows, so the oracle holds every server
-    # to the invariants at all times — churn earns no exemptions.
-    oracle = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=monitor_period,
-        registry=registry,
-    )
     churn.start()
     if mob is not None:
         mob.start()
     skew.start()
-    oracle.start()
+    # strict, no schedule: the oracle holds every server to the
+    # invariants at all times — churn earns no exemptions.
+    _, oracle = attach_chaos(service, monitor_period=monitor_period, strict=True)
     service.run_until(horizon)
     snap = service.snapshot()
     return GauntletOutcome(
@@ -272,31 +261,15 @@ def run_gauntlet(
     )
 
 
-def run_matrix(
-    *,
-    arms: Sequence[str] = ARMS,
-    cells: Sequence[GauntletCell] = CELLS,
-    seeds: Sequence[int] = (0, 1, 2),
-    n: int = 8,
-    tau: float = 30.0,
-    horizon: float = 1800.0,
-) -> List[GauntletOutcome]:
-    """Every (cell, arm, seed) run of the gauntlet."""
-    return [
-        run_gauntlet(
-            arm,
-            seed,
-            churn_interval=cell.churn_interval,
-            mobility=cell.mobility,
-            cell_label=cell.label,
-            n=n,
-            tau=tau,
-            horizon=horizon,
-        )
-        for cell in cells
-        for arm in arms
-        for seed in seeds
-    ]
+def _run(cell: GauntletCell, arm: str, seed: int, **params) -> GauntletOutcome:
+    return run_gauntlet(
+        arm,
+        seed,
+        churn_interval=cell.churn_interval,
+        mobility=cell.mobility,
+        cell_label=cell.label,
+        **params,
+    )
 
 
 def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
@@ -333,123 +306,41 @@ def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
     return problems
 
 
-def main(
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    horizon: float = 1800.0,
-    tau: float = 30.0,
-    json_path: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
-) -> bool:
-    """Run the matrix, print the report, return overall pass/fail."""
-    from ..analysis.plots import render_table
-
-    bound = local_skew_bound(tau)
-    outcomes: List[GauntletOutcome] = []
-    for cell in CELLS:
-        for arm in ARMS:
-            for seed in seeds:
-                telemetry = None
-                if telemetry_dir:
-                    from ..telemetry import ServiceTelemetry
-
-                    telemetry = ServiceTelemetry(
-                        spans=False,
-                        sample_period=tau,
-                        local_skew_bound=bound,
-                    )
-                outcome = run_gauntlet(
-                    arm,
-                    seed,
-                    churn_interval=cell.churn_interval,
-                    mobility=cell.mobility,
-                    cell_label=cell.label,
-                    tau=tau,
-                    horizon=horizon,
-                    telemetry=telemetry,
-                )
-                outcomes.append(outcome)
-                if telemetry is not None:
-                    run_dir = os.path.join(
-                        telemetry_dir, f"{cell.label}-{arm}-seed{seed}"
-                    )
-                    telemetry.write(
-                        run_dir,
-                        summary_extra={
-                            "arm": arm,
-                            "cell": cell.label,
-                            "seed": seed,
-                            "bound": bound,
-                            "skew_breaches": outcome.skew_breaches,
-                            "max_local_skew": outcome.max_local_skew,
-                            "violations": outcome.violations,
-                        },
-                    )
-    print(
-        f"dynamic gauntlet: {len(CELLS)} cell(s) x {ARMS} x "
-        f"{len(seeds)} seed(s), ring(8), τ={tau:g}s, {horizon:g}s horizon, "
-        f"local-skew bound {bound * 1e3:.1f} ms"
-    )
-    rows = [
-        [
-            o.cell,
-            o.arm,
-            o.seed,
-            f"{o.edges_removed}/{o.edges_restored}",
-            o.rewires,
-            o.skew_samples,
-            o.skew_breaches,
-            f"{o.max_local_skew * 1e3:.1f}",
-            o.violations,
-            o.exemptions,
-            f"{o.trace_digest:08x}",
-        ]
-        for o in outcomes
-    ]
-    print(
-        render_table(
-            [
-                "cell",
-                "arm",
-                "seed",
-                "edges -/+",
-                "rewires",
-                "samples",
-                "breaches",
-                "max skew ms",
-                "viol",
-                "exempt",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    problems = evaluate(outcomes)
-    if json_path:
-        report = {
-            "bound": bound,
-            "tau": tau,
-            "horizon": horizon,
-            "seeds": list(seeds),
-            "ok": not problems,
-            "problems": problems,
-            "outcomes": [asdict(o) for o in outcomes],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nwrote JSON report to {json_path}")
-    if problems:
-        print()
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return False
-    print(
-        "\ngradient arm held the local-skew bound in every cell and seed "
-        "(zero breaches, zero invariant violations); every cell saw a "
-        "plain arm breach it."
-    )
-    return True
+GAUNTLET = gauntlet.Gauntlet(
+    name="dynamic-gauntlet",
+    run=_run,
+    cells=CELLS,
+    arms=ARMS,
+    params={"horizon": 1800.0, "tau": 30.0},
+    setting={"topology": "ring(8)"},
+    columns=(
+        ("cell", lambda o: o.cell),
+        ("arm", lambda o: o.arm),
+        ("seed", lambda o: o.seed),
+        ("edges -/+", lambda o: f"{o.edges_removed}/{o.edges_restored}"),
+        ("rewires", lambda o: o.rewires),
+        ("samples", lambda o: o.skew_samples),
+        ("breaches", lambda o: o.skew_breaches),
+        ("max skew ms", lambda o: f"{o.max_local_skew * 1e3:.1f}"),
+        ("viol", lambda o: o.violations),
+        ("exempt", lambda o: o.exemptions),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    evaluate=evaluate,
+    telemetry=lambda tau, **_: ServiceTelemetry(
+        spans=False, sample_period=tau, local_skew_bound=local_skew_bound(tau)
+    ),
+    summary=(
+        "arm",
+        "cell",
+        "seed",
+        "bound",
+        "skew_breaches",
+        "max_local_skew",
+        "violations",
+    ),
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(0 if main() else 1)
+    raise SystemExit(gauntlet.main(GAUNTLET))

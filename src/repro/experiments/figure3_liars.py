@@ -34,15 +34,14 @@ Each cell compares two arms:
 
 The per-arm scorecard (poisoned resets, oracle-incorrect samples,
 monitor violations, demotion latency per honest-server/liar pair) is the
-experiment's artefact; :func:`run_matrix` is what ``repro figure3-liars``
+experiment's artefact; :data:`GAUNTLET` is what ``repro figure3-liars``
 and the nightly liar soak run.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -56,6 +55,7 @@ from ..faults.monitor import InvariantMonitor
 from ..network.delay import UniformDelay
 from ..recovery import SelfStabilizingRecovery
 from ..service.builder import ServerSpec, build_service
+from . import gauntlet
 from .scenarios import grid
 
 #: Claimed bound for every server (~0.9 s/day).
@@ -177,6 +177,8 @@ class ArmResult:
     """One arm of one gauntlet cell, scored.
 
     Attributes:
+        topology: The cell's topology name.
+        seed: The cell's root seed.
         byzantine_tolerant: Which arm this is.
         total_resets: All resets over the run (direct and recovery).
         poisoned_resets: Resets on an *honest* server sourced (even
@@ -201,6 +203,8 @@ class ArmResult:
             error-physics checks.
     """
 
+    topology: str
+    seed: int
     byzantine_tolerant: bool
     total_resets: int
     poisoned_resets: int
@@ -214,6 +218,10 @@ class ArmResult:
     plain_rounds: int
     budget_raises: int
     validation_rejections: int
+
+    @property
+    def arm(self) -> str:
+        return "ft" if self.byzantine_tolerant else "plain"
 
 
 def _poisoned_resets(service, honest: set) -> Tuple[int, int, int]:
@@ -321,6 +329,8 @@ def run(
         all_demoted = all(record.demoted_in_window for record in demotions)
 
     return ArmResult(
+        topology=topology_name,
+        seed=seed,
         byzantine_tolerant=byzantine_tolerant,
         total_resets=total,
         poisoned_resets=poisoned,
@@ -337,220 +347,94 @@ def run(
     )
 
 
-# ------------------------------------------------------------- comparison
+# ------------------------------------------------------------- verdicts
 
 
-@dataclass(frozen=True)
-class GauntletCell:
-    """Both arms on one (topology, seed) cell, with the verdicts.
+def evaluate(outcomes: Sequence[ArmResult]) -> List[str]:
+    """The acceptance criteria, as a list of failures (empty = pass).
 
-    Attributes:
-        topology: The topology name.
-        seed: The cell's root seed.
-        plain: The paper's IM + third-server rule.
-        ft: The Byzantine-tolerance subsystem.
-        plain_failed: The plain arm showed at least one poisoned reset,
-            oracle-incorrect sample, or monitor correctness breach —
-            Figure 3's failure reproduced.
-        ft_held: The FT arm showed none of those, zero consistency
-            breaches, and demoted every adjacent liar before the lying
-            window closed.
+    The plain arm must show Figure 3's failure — a poisoned reset, an
+    oracle-incorrect sample, or a monitor correctness breach; the FT arm
+    none of those, no consistency breach, and every adjacent liar
+    demoted before the lying window closed.
     """
-
-    topology: str
-    seed: int
-    plain: ArmResult
-    ft: ArmResult
-    plain_failed: bool
-    ft_held: bool
-
-
-def run_cell(
-    topology_name: str,
-    seed: int,
-    tau: float = TAU,
-    horizon: float = HORIZON,
-) -> GauntletCell:
-    """Run both arms on one (topology, seed) cell."""
-    plain = run(topology_name, False, seed, tau=tau, horizon=horizon)
-    ft = run(topology_name, True, seed, tau=tau, horizon=horizon)
-    plain_failed = (
-        plain.poisoned_resets > 0
-        or plain.oracle_bad_samples > 0
-        or plain.correctness_violations > 0
-    )
-    ft_held = (
-        ft.poisoned_resets == 0
-        and ft.oracle_bad_samples == 0
-        and ft.correctness_violations == 0
-        and ft.consistency_violations == 0
-        and bool(ft.all_liars_demoted)
-    )
-    return GauntletCell(
-        topology=topology_name,
-        seed=seed,
-        plain=plain,
-        ft=ft,
-        plain_failed=plain_failed,
-        ft_held=ft_held,
-    )
-
-
-@dataclass(frozen=True)
-class GauntletMatrix:
-    """The whole gauntlet: K5 across seeds plus the topology sweep.
-
-    Attributes:
-        k5: One cell per seed on the complete graph — the acceptance
-            rows (``2f < n`` holds for every honest server).
-        ring: One cell at the connectivity boundary (three-source
-            rounds; reported, not part of acceptance).
-        random: One seeded in-between cell (same status).
-        accepted: Every K5 cell reproduced the plain failure *and* held
-            under FT — the experiment's overall verdict.
-    """
-
-    k5: Tuple[GauntletCell, ...]
-    ring: GauntletCell
-    random: GauntletCell
-    accepted: bool
-
-
-def run_matrix(
-    seeds: Tuple[int, ...] = (1, 2, 3, 4, 5),
-    tau: float = TAU,
-    horizon: float = HORIZON,
-) -> GauntletMatrix:
-    """Run the full gauntlet matrix."""
-    k5 = tuple(run_cell("k5", seed, tau=tau, horizon=horizon) for seed in seeds)
-    ring = run_cell("ring", seeds[0], tau=tau, horizon=horizon)
-    random_cell = run_cell("random", seeds[0], tau=tau, horizon=horizon)
-    return GauntletMatrix(
-        k5=k5,
-        ring=ring,
-        random=random_cell,
-        accepted=all(cell.plain_failed and cell.ft_held for cell in k5),
-    )
-
-
-# ------------------------------------------------------------- reporting
-
-
-def report_dict(matrix: GauntletMatrix) -> dict:
-    """A JSON-ready artefact of the whole gauntlet (for CI uploads)."""
-
-    def arm(result: ArmResult) -> dict:
-        payload = {
-            "byzantine_tolerant": result.byzantine_tolerant,
-            "total_resets": result.total_resets,
-            "poisoned_resets": result.poisoned_resets,
-            "recoveries": result.recoveries,
-            "oracle_bad_samples": result.oracle_bad_samples,
-            "correctness_violations": result.correctness_violations,
-            "consistency_violations": result.consistency_violations,
-        }
-        if result.byzantine_tolerant:
-            payload.update(
-                {
-                    "tolerant_rounds": result.tolerant_rounds,
-                    "plain_rounds": result.plain_rounds,
-                    "budget_raises": result.budget_raises,
-                    "validation_rejections": result.validation_rejections,
-                    "all_liars_demoted": result.all_liars_demoted,
-                    "demotions": [
-                        {
-                            "server": record.server,
-                            "liar": record.liar,
-                            "latency": record.latency,
-                        }
-                        for record in result.demotions
-                    ],
-                }
+    problems: List[str] = []
+    for o in outcomes:
+        where = f"{o.topology} seed {o.seed}"
+        failed = o.poisoned_resets or o.oracle_bad_samples or o.correctness_violations
+        if o.arm == "plain" and not failed:
+            problems.append(f"{where}: plain IM was never poisoned")
+        held = not (failed or o.consistency_violations) and o.all_liars_demoted
+        if o.arm == "ft" and not held:
+            problems.append(
+                f"{where}: FT-IM did not hold (poisoned {o.poisoned_resets}, "
+                f"oracle-bad {o.oracle_bad_samples}, monitor "
+                f"{o.correctness_violations}/{o.consistency_violations}, "
+                f"liars demoted {o.all_liars_demoted})"
             )
-        return payload
-
-    def cell(row: GauntletCell) -> dict:
-        return {
-            "topology": row.topology,
-            "seed": row.seed,
-            "plain_failed": row.plain_failed,
-            "ft_held": row.ft_held,
-            "plain": arm(row.plain),
-            "ft": arm(row.ft),
-        }
-
-    return {
-        "accepted": matrix.accepted,
-        "k5": [cell(row) for row in matrix.k5],
-        "ring": cell(matrix.ring),
-        "random": cell(matrix.random),
-    }
+    return problems
 
 
-def _print_cell(row: GauntletCell) -> None:
-    print(f"\n  [{row.topology} seed={row.seed}]")
-    for result in (row.plain, row.ft):
-        arm = "ft" if result.byzantine_tolerant else "plain"
-        print(
-            f"    {arm:>5}: poisoned_resets={result.poisoned_resets} "
-            f"oracle_bad={result.oracle_bad_samples} "
-            f"monitor=({result.correctness_violations} correctness, "
-            f"{result.consistency_violations} consistency) "
-            f"resets={result.total_resets} "
-            f"(recovery {result.recoveries})"
-        )
-        if result.byzantine_tolerant:
-            latencies = [
-                record.latency
-                for record in result.demotions
-                if record.latency is not None
-            ]
-            worst = f"{max(latencies):.0f}s" if latencies else "n/a"
-            print(
-                f"           rounds: {result.tolerant_rounds} tolerant / "
-                f"{result.plain_rounds} plain, budget raises "
-                f"{result.budget_raises}, reply rejections "
-                f"{result.validation_rejections}"
-            )
-            print(
-                f"           liars demoted in window: "
-                f"{result.all_liars_demoted} "
-                f"(worst latency {worst})"
-            )
-    print(
-        f"    verdict: plain_failed={row.plain_failed} ft_held={row.ft_held}"
-    )
+def _worst_demotion(result: ArmResult) -> str:
+    latencies = [r.latency for r in result.demotions if r.latency is not None]
+    return f"{max(latencies):.0f}s" if latencies else "-"
 
 
-def main(json_path: Optional[str] = None) -> bool:
-    """Print the gauntlet matrix (and optionally write the JSON artefact).
+COLUMNS: Tuple[gauntlet.Column, ...] = (
+    ("topology", lambda o: o.topology),
+    ("seed", lambda o: o.seed),
+    ("arm", lambda o: o.arm),
+    ("poisoned", lambda o: o.poisoned_resets),
+    ("oracle bad", lambda o: o.oracle_bad_samples),
+    ("monitor", lambda o: f"{o.correctness_violations}/{o.consistency_violations}"),
+    ("resets (recov)", lambda o: f"{o.total_resets} ({o.recoveries})"),
+    ("tol/plain rounds", lambda o: f"{o.tolerant_rounds}/{o.plain_rounds}"),
+    ("raises", lambda o: o.budget_raises),
+    ("rejects", lambda o: o.validation_rejections),
+    ("liars demoted", lambda o: o.all_liars_demoted),
+    ("worst demotion", _worst_demotion),
+)
 
-    Returns the overall acceptance verdict so the CLI can exit non-zero
-    when a cell regresses.
-    """
-    matrix = run_matrix()
-    print(
-        "Figure 3 liar gauntlet — plain IM vs FT-IM under a scripted "
-        f"Byzantine campaign ({len(LIARS)} liars, window "
-        f"[{LIE_START:.0f}s, {LIE_END:.0f}s])"
-    )
-    for row in matrix.k5:
-        _print_cell(row)
-    _print_cell(matrix.ring)
-    _print_cell(matrix.random)
-    print(f"\n  accepted (all K5 cells): {matrix.accepted}")
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(matrix), handle, indent=2)
-        print(f"\nreport written to {json_path}")
-    return matrix.accepted
+
+def _topology_sweep(
+    outcomes: Sequence[ArmResult], seeds: Sequence[int], **_: Any
+) -> Tuple[Dict[str, Any], List[str]]:
+    """The ring and random cells at the first seed: reported, not judged."""
+    sweep = gauntlet.run_matrix(GAUNTLET, cells=("ring", "random"), seeds=seeds[:1])
+    print("\ntopology sweep (reported, not part of acceptance):")
+    print(gauntlet.table(COLUMNS, sweep))
+    report: Dict[str, Any] = {}
+    for arm in sweep:
+        report.setdefault(arm.topology, []).append(asdict(arm))
+    return report, []
+
+
+def _run(topology: str, arm: str, seed: int, *, telemetry=None) -> ArmResult:
+    return run(topology, arm == "ft", seed)
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="figure3-liars",
+    run=_run,
+    cells=("k5",),
+    arms=("plain", "ft"),
+    seeds=(1, 2, 3, 4, 5),
+    setting={
+        "liars": len(LIARS),
+        "lie_start": LIE_START,
+        "lie_end": LIE_END,
+        "tau": TAU,
+        "horizon": HORIZON,
+    },
+    columns=COLUMNS,
+    evaluate=evaluate,
+    supplement=_topology_sweep,
+)
 
 
 if __name__ == "__main__":
-    import argparse
+    import sys
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--json", default=None, help="also write the report as JSON here"
-    )
-    raise SystemExit(0 if main(json_path=parser.parse_args().json) else 1)
+    from ..cli import main
+
+    raise SystemExit(main(["figure3-liars", *sys.argv[1:]]))

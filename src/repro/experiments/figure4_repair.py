@@ -27,9 +27,8 @@ falls back to the cold-start bootstrap instead of trusting bad state.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -49,6 +48,7 @@ from ..faults import (
 from ..network.delay import UniformDelay
 from ..recovery import SelfStabilizingRecovery
 from ..service.builder import ServerSpec, build_service
+from . import gauntlet
 from .scenarios import grid
 
 #: Claimed bound for every server (~0.9 s/day).
@@ -115,6 +115,7 @@ class RepairResult:
 
     Attributes:
         self_stabilizing: Which arm this is.
+        seed: The run's root seed.
         groups_all: Final consistency groups over all six servers.
         groups_good: Final consistency groups over the non-faulty servers
             only — the acceptance metric (1 == repaired, ≥2 == Figure 4).
@@ -139,6 +140,7 @@ class RepairResult:
     """
 
     self_stabilizing: bool
+    seed: int
     groups_all: List[ConsistencyGroup]
     groups_good: List[ConsistencyGroup]
     merged: bool
@@ -152,6 +154,15 @@ class RepairResult:
     census_detection_time: Optional[float]
     census_clean_at_end: Optional[bool]
     final_epochs: Dict[str, int]
+
+    @property
+    def passed(self) -> bool:
+        """The plain arm reproduced Figure 4 (≥2 groups of non-faulty
+        servers); the stabilized arm repaired it (one group, zero
+        correctness violations outside fault windows)."""
+        if self.self_stabilizing:
+            return self.merged and self.correctness_violations == 0
+        return len(self.groups_good) >= 2
 
 
 def _good_split_seen(service) -> bool:
@@ -245,6 +256,7 @@ def run(
     core = {"G2", "G3", "G4"}
     return RepairResult(
         self_stabilizing=self_stabilizing,
+        seed=seed,
         groups_all=groups_all,
         groups_good=groups_good,
         merged=len(groups_good) == 1,
@@ -258,43 +270,6 @@ def run(
         census_detection_time=detection_time,
         census_clean_at_end=census_clean,
         final_epochs=epochs,
-    )
-
-
-@dataclass(frozen=True)
-class RepairComparison:
-    """Both arms of the scenario, with the acceptance verdicts.
-
-    Attributes:
-        plain: The paper's rule — expected to end in the Figure 4 state.
-        stabilized: The recovery subsystem — expected to end merged.
-        figure4_reproduced: Plain arm ended with ≥2 groups of non-faulty
-            servers.
-        repaired: Stabilized arm ended with exactly one group of
-            non-faulty servers and zero correctness violations outside
-            fault windows.
-    """
-
-    plain: RepairResult
-    stabilized: RepairResult
-    figure4_reproduced: bool
-    repaired: bool
-
-
-def run_comparison(
-    tau: float = 120.0, horizon: float = 2.0 * 3600.0, seed: int = 13
-) -> RepairComparison:
-    """Run the scenario with and without the self-stabilizing layer."""
-    plain = run(False, tau=tau, horizon=horizon, seed=seed)
-    stabilized = run(True, tau=tau, horizon=horizon, seed=seed)
-    return RepairComparison(
-        plain=plain,
-        stabilized=stabilized,
-        figure4_reproduced=len(plain.groups_good) >= 2,
-        repaired=(
-            stabilized.merged
-            and stabilized.correctness_violations == 0
-        ),
     )
 
 
@@ -401,96 +376,67 @@ def crash_soak(
 # --------------------------------------------------------------- reporting
 
 
-def report_dict(
-    comparison: RepairComparison, soak: List[SoakReport]
-) -> dict:
-    """A JSON-ready artefact of the whole experiment (for CI uploads)."""
-
-    def arm(result: RepairResult) -> dict:
-        return {
-            "self_stabilizing": result.self_stabilizing,
-            "groups_good": [list(g.members) for g in result.groups_good],
-            "merged": result.merged,
-            "total_recoveries": result.total_recoveries,
-            "poisoned_recoveries": result.poisoned_recoveries,
-            "correctness_violations": result.correctness_violations,
-            "consistency_violations": result.consistency_violations,
-            "g1_final_offset": result.g1_final_offset,
-            "core_still_correct": result.core_still_correct,
-            "census_detected_split": result.census_detected_split,
-            "census_detection_time": result.census_detection_time,
-            "census_clean_at_end": result.census_clean_at_end,
-            "final_epochs": result.final_epochs,
-        }
-
-    return {
-        "figure4_reproduced": comparison.figure4_reproduced,
-        "repaired": comparison.repaired,
-        "plain": arm(comparison.plain),
-        "stabilized": arm(comparison.stabilized),
-        "crash_soak": [
-            {
-                "seed": row.seed,
-                "restarts": row.restarts,
-                "warm_restarts": row.warm_restarts,
-                "cold_restarts": row.cold_restarts,
-                "warm_all_correct": row.warm_all_correct,
-                "all_correct": row.all_correct,
-                "correctness_violations": row.correctness_violations,
-            }
-            for row in soak
-        ],
-    }
+def evaluate(outcomes: Sequence[RepairResult]) -> List[str]:
+    """The acceptance criteria, as a list of failures (empty = pass)."""
+    return [
+        f"seed {o.seed}: "
+        f"{'not repaired' if o.self_stabilizing else 'Figure 4 not reproduced'} "
+        f"({len(o.groups_good)} non-faulty group(s), "
+        f"{o.correctness_violations} correctness violation(s))"
+        for o in outcomes
+        if not o.passed
+    ]
 
 
-def main(json_path: Optional[str] = None) -> None:
-    """Print the repair comparison and the crash soak."""
-    comparison = run_comparison()
-    print("Figure 4 repair — plain third-server rule vs self-stabilizing layer")
-    for result in (comparison.plain, comparison.stabilized):
-        arm = "self-stabilizing" if result.self_stabilizing else "plain"
-        print(f"\n  [{arm}]")
-        print(
-            f"    non-faulty consistency groups at end: "
-            f"{len(result.groups_good)}"
-        )
-        for group in result.groups_good:
-            print(f"      {{{', '.join(group.members)}}}")
-        print(
-            f"    recoveries: {result.total_recoveries} "
-            f"(poisoned: {result.poisoned_recoveries})"
-        )
-        print(
-            f"    monitor violations outside fault windows: "
-            f"correctness={result.correctness_violations} "
-            f"consistency={result.consistency_violations}"
-        )
-        print(f"    G1 final offset: {result.g1_final_offset:.3f} s")
-        if result.self_stabilizing:
-            print(
-                f"    census detected the split: "
-                f"{result.census_detected_split} "
-                f"(t={result.census_detection_time}); "
-                f"clean at end: {result.census_clean_at_end}"
-            )
-            print(f"    final epochs: {result.final_epochs}")
-    print(f"\n  Figure 4 reproduced by plain rule: {comparison.figure4_reproduced}")
-    print(f"  repaired by self-stabilizing layer: {comparison.repaired}")
-
+def _crash_soak(
+    outcomes: Sequence[RepairResult], seeds: Sequence[int], **_: Any
+) -> Tuple[Dict[str, Any], List[str]]:
+    """The crash-restart soak: warm restores must revive correct."""
     soak = crash_soak()
     print("\nCrash-restart soak (warm restores must revive correct):")
     for row in soak:
-        print(
-            f"  seed {row.seed}: {row.restarts} restarts "
-            f"({row.warm_restarts} warm, {row.cold_restarts} cold), "
-            f"warm all correct: {row.warm_all_correct}, "
-            f"monitor correctness violations: {row.correctness_violations}"
-        )
+        print(f"  {row}")
+    extra = {
+        "figure4_reproduced": all(
+            o.passed for o in outcomes if not o.self_stabilizing
+        ),
+        "repaired": all(o.passed for o in outcomes if o.self_stabilizing),
+        "crash_soak": [asdict(row) for row in soak],
+    }
+    problems = [
+        f"crash soak seed {row.seed}: a warm restart revived incorrect"
+        for row in soak
+        if not row.warm_all_correct
+    ]
+    return extra, problems
 
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(comparison, soak), handle, indent=2)
-        print(f"\nreport written to {json_path}")
+
+def _run(cell, arm: str, seed: int, *, telemetry=None, **params) -> RepairResult:
+    return run(arm == "self-stabilizing", seed=seed, **params)
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="figure4-repair",
+    run=_run,
+    arms=("plain", "self-stabilizing"),
+    seeds=(13,),
+    params={"tau": 120.0, "horizon": 2.0 * 3600.0},
+    setting={"good": ",".join(GOOD), "bad": ",".join(BAD)},
+    columns=(
+        ("seed", lambda o: o.seed),
+        ("arm", lambda o: "self-stabilizing" if o.self_stabilizing else "plain"),
+        ("good groups", lambda o: [group.members for group in o.groups_good]),
+        ("recoveries", lambda o: o.total_recoveries),
+        ("poisoned", lambda o: o.poisoned_recoveries),
+        ("monitor", lambda o: f"{o.correctness_violations}/{o.consistency_violations}"),
+        ("G1 offset s", lambda o: f"{o.g1_final_offset:.3f}"),
+        ("census split", lambda o: o.census_detected_split),
+        ("census clean", lambda o: o.census_clean_at_end),
+        ("epochs", lambda o: o.final_epochs or "-"),
+    ),
+    evaluate=evaluate,
+    supplement=_crash_soak,
+)
 
 
 if __name__ == "__main__":
@@ -500,4 +446,4 @@ if __name__ == "__main__":
     parser.add_argument(
         "--json", default=None, help="also write the report as JSON here"
     )
-    main(json_path=parser.parse_args().json)
+    raise SystemExit(gauntlet.main(GAUNTLET, json=parser.parse_args().json))

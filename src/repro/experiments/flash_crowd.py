@@ -39,13 +39,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Sequence, Tuple
 
 import networkx as nx
 
 from ..core.im import IMPolicy
-from ..faults.monitor import InvariantMonitor
+from ..faults import attach_chaos
 from ..load import (
     BackoffPolicy,
     CapacityConfig,
@@ -58,6 +58,7 @@ from ..load import (
 )
 from ..network.delay import UniformDelay
 from ..service.builder import ServerSpec, build_service
+from . import gauntlet
 from .scenarios import grid
 
 #: Claimed drift bound for every server (makes unsynced E growth visible
@@ -181,9 +182,6 @@ class ArmResult:
     incorrect_results: int  # oracle: successful queries whose interval missed
     digest: str  # crc32 over the integer counters (determinism check)
 
-    def to_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
 
 def run_arm(
     controlled: bool,
@@ -212,15 +210,9 @@ def run_arm(
         capacity=_capacity(controlled),
         load_policy=_load_policy(controlled),
     )
-    monitor = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=MONITOR_PERIOD,
-        sync_window=SYNC_WINDOW,
+    _, monitor = attach_chaos(
+        service, monitor_period=MONITOR_PERIOD, sync_window=SYNC_WINDOW
     )
-    monitor.start()
 
     generators = []
     clients = []
@@ -417,95 +409,63 @@ def run_comparison(
     )
 
 
-def report_dict(comparisons: Sequence[Comparison]) -> Dict[str, object]:
-    """The JSON artefact for CI soaks and notebooks."""
-    return {
-        "experiment": "flash_crowd",
+def evaluate(outcomes: Sequence[ArmResult]) -> List[str]:
+    """The acceptance criteria, per seed, as a list of failures."""
+    problems: List[str] = []
+    for seed in sorted({o.seed for o in outcomes}):
+        arms = {o.arm: o for o in outcomes if o.seed == seed}
+        if len(arms) < 2:
+            continue
+        comparison = Comparison(seed, arms["plain"], arms["controlled"])
+        if not comparison.passed:
+            problems.append(
+                f"seed {seed}: starved={comparison.plain_starved} "
+                f"clean={comparison.controlled_clean} "
+                f"degraded-ok={comparison.degraded_all_correct} "
+                f"dominates={comparison.controlled_dominates} "
+                f"incorrect={arms['plain'].incorrect_results}/"
+                f"{arms['controlled'].incorrect_results}"
+            )
+    return problems
+
+
+def _run(cell, arm: str, seed: int, *, telemetry=None, **params) -> ArmResult:
+    return run_arm(arm == "controlled", seed, **params)
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="flash-crowd",
+    run=_run,
+    arms=("plain", "controlled"),
+    seeds=(11, 12, 13),
+    params={"horizon": HORIZON},
+    setting={
         "tau": TAU,
         "delta": CLAIMED_DELTA,
-        "profile": {
-            "base_rate": PROFILE.base_rate,
-            "crowd_rate": PROFILE.crowd_rate,
-            "crowd_start": PROFILE.crowd_start,
-            "crowd_end": PROFILE.crowd_end,
-            "ramp": PROFILE.ramp,
-            "generators": len(CLIENT_NODES),
-        },
-        "capacity": {
-            "service_time": SERVICE_TIME,
-            "degraded_time": DEGRADED_TIME,
-            "queue_limit": QUEUE_LIMIT,
-        },
-        "seeds": [c.seed for c in comparisons],
-        "passed": all(c.passed for c in comparisons),
-        "comparisons": [
-            {
-                "seed": c.seed,
-                "passed": c.passed,
-                "plain_starved": c.plain_starved,
-                "controlled_clean": c.controlled_clean,
-                "degraded_all_correct": c.degraded_all_correct,
-                "controlled_dominates": c.controlled_dominates,
-                "plain": c.plain.to_dict(),
-                "controlled": c.controlled.to_dict(),
-            }
-            for c in comparisons
-        ],
-    }
-
-
-def main(
-    json_path: Optional[str] = None,
-    *,
-    seeds: Sequence[int] = (11, 12, 13),
-    horizon: float = HORIZON,
-) -> bool:
-    """Run the comparison across seeds; print a table; True iff all pass."""
-    print("flash_crowd: open-loop client crowd vs the sync plane")
-    print(
-        f"  {len(SERVERS)} servers @ {1.0 / SERVICE_TIME:.0f} req/s fresh, "
-        f"{len(CLIENT_NODES)} generators, "
-        f"{PROFILE.base_rate:.0f}->{PROFILE.crowd_rate:.0f} q/s each, "
-        f"tau={TAU:.0f}s, horizon={horizon:.0f}s"
-    )
-    comparisons = []
-    for seed in seeds:
-        comparison = run_comparison(seed, horizon=horizon)
-        comparisons.append(comparison)
-        for result in (comparison.plain, comparison.controlled):
-            print(
-                f"  seed {seed} {result.arm:>10}: "
-                f"goodput {result.goodput:7.1f}/s  "
-                f"p99 {result.p99_latency:6.3f}s  "
-                f"shed {result.shed_rate:5.1%}  "
-                f"degraded {result.degraded_correct}/{result.degraded_replies}  "
-                f"sync-viol {result.sync_plane_violations}  "
-                f"maxE(crowd) {result.max_error_crowd:.4f}  "
-                f"[{result.digest}]"
-            )
-        verdict = "PASS" if comparison.passed else "FAIL"
-        print(
-            f"  seed {seed}   verdict: {verdict} "
-            f"(starved={comparison.plain_starved} "
-            f"clean={comparison.controlled_clean} "
-            f"degraded-ok={comparison.degraded_all_correct} "
-            f"dominates={comparison.controlled_dominates})"
-        )
-    passed = all(c.passed for c in comparisons)
-    print(f"flash_crowd: {'PASS' if passed else 'FAIL'} across seeds {list(seeds)}")
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(report_dict(comparisons), handle, indent=2)
-        print(f"flash_crowd: report written to {json_path}")
-    return passed
+        "profile": asdict(PROFILE),
+        "generators": len(CLIENT_NODES),
+        "service_time": SERVICE_TIME,
+        "degraded_time": DEGRADED_TIME,
+        "queue_limit": QUEUE_LIMIT,
+    },
+    columns=(
+        ("seed", lambda o: o.seed),
+        ("arm", lambda o: o.arm),
+        ("goodput/s", lambda o: f"{o.goodput:.1f}"),
+        ("p99 s", lambda o: f"{o.p99_latency:.3f}"),
+        ("shed", lambda o: f"{o.shed_rate:.1%}"),
+        ("degraded", lambda o: f"{o.degraded_correct}/{o.degraded_replies}"),
+        ("sync-viol", lambda o: o.sync_plane_violations),
+        ("maxE(crowd)", lambda o: f"{o.max_error_crowd:.4f}"),
+        ("digest", lambda o: o.digest),
+    ),
+    evaluate=evaluate,
+)
 
 
 if __name__ == "__main__":
-    import argparse
+    import sys
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, help="write the report here")
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[11, 12, 13], help="seeds to run"
-    )
-    raise SystemExit(0 if main(json_path=parser.parse_args().json) else 1)
+    from ..cli import main
+
+    raise SystemExit(main(["flash-crowd", *sys.argv[1:]]))

@@ -37,17 +37,18 @@ with live ξ (max observed round trip) in the report.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import socket
 import time
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.schedule import DelaySpike, MessageTamper
 from ..runtime.proxy import ChaosProxy
 from ..runtime.supervisor import ClusterSupervisor, NodeSpec, RestartPolicy
+from . import gauntlet
 
-__all__ = ["main", "run"]
+__all__ = ["GAUNTLET", "LiveOutcome", "NodeMetrics", "evaluate", "run_arm"]
 
 TAU = 0.75
 ONE_WAY_BOUND = 0.25  # declared; ξ = 0.5 s
@@ -114,15 +115,56 @@ def _accumulate(series: List[Dict[str, Any]]) -> Dict[str, float]:
     return totals
 
 
-async def _run_arm(
+@dataclass
+class NodeMetrics:
+    """Telemetry sink of one live arm: every node's Prometheus text,
+    scraped before the cluster drains, written as ``<node>.prom``."""
+
+    texts: Dict[str, Optional[str]] = field(default_factory=dict)
+
+    def write(self, directory: str, *, summary_extra=None) -> None:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in self.texts.items():
+            if text:
+                with open(os.path.join(directory, f"{name}.prom"), "w") as fh:
+                    fh.write(text)
+
+
+@dataclass(frozen=True)
+class LiveOutcome:
+    """One arm of one seed over real sockets: per-node invariant totals
+    (summed across process incarnations), counters and RTT samples in
+    ``nodes``; cluster-wide totals, the declared ξ against the largest
+    round trip measured (``xi_live``), and the proxy's counters."""
+
+    arm: str
+    kind: str
+    seed: int
+    duration: float
+    booted: bool
+    loss: float
+    nodes: Dict[str, Any]
+    mm1_violations: int
+    monotonicity_violations: int
+    xi_live: float
+    xi_declared: float
+    rtt_count: int
+    crash_restarts: int
+    drained: Any
+    proxy: Dict[str, Any]
+
+
+async def run_arm(
     arm: str,
     *,
     seed: int,
     duration: float,
     loss: float = LOSS,
     with_faults: bool = True,
-    telemetry_dir: Optional[str] = None,
-) -> Dict[str, Any]:
+    telemetry: Optional[NodeMetrics] = None,
+) -> LiveOutcome:
+    """One arm's cluster, start to drain (run arms one at a time: one
+    cluster at a time keeps loopback RTTs honest)."""
     kind = ARM_KINDS[arm]
     epoch = time.monotonic()
     names = [p[0] for p in NODE_PARAMS]
@@ -204,13 +246,8 @@ async def _run_arm(
         for name, snap in final.items():
             if snap is not None:
                 series[name].append(snap)
-        if telemetry_dir:
-            arm_dir = os.path.join(telemetry_dir, arm)
-            os.makedirs(arm_dir, exist_ok=True)
-            for name, text in (await supervisor.metrics(timeout=2.0)).items():
-                if text:
-                    with open(os.path.join(arm_dir, f"{name}.prom"), "w") as fh:
-                        fh.write(text)
+        if telemetry is not None:
+            telemetry.texts = await supervisor.metrics(timeout=2.0)
         drained = await supervisor.drain(grace=3.0)
     finally:
         supervisor.close()
@@ -243,100 +280,66 @@ async def _run_arm(
         mm1_total += int(inv["mm1_violations"])
         mono_total += int(inv["monotonicity_violations"])
 
-    return {
-        "arm": arm,
-        "kind": kind,
-        "seed": seed,
-        "duration": duration,
-        "booted": booted,
-        "loss": loss,
-        "nodes": nodes,
-        "mm1_violations": mm1_total,
-        "monotonicity_violations": mono_total,
-        "xi_live": xi_live,
-        "xi_declared": 2.0 * ONE_WAY_BOUND,
-        "rtt_count": rtt_count,
-        "crash_restarts": supervisor.crash_restarts,
-        "drained": drained,
-        "proxy": vars(proxy.stats).copy(),
-    }
+    return LiveOutcome(
+        arm=arm,
+        kind=kind,
+        seed=seed,
+        duration=duration,
+        booted=booted,
+        loss=loss,
+        nodes=nodes,
+        mm1_violations=mm1_total,
+        monotonicity_violations=mono_total,
+        xi_live=xi_live,
+        xi_declared=2.0 * ONE_WAY_BOUND,
+        rtt_count=rtt_count,
+        crash_restarts=supervisor.crash_restarts,
+        drained=drained,
+        proxy=vars(proxy.stats).copy(),
+    )
 
 
-def run(
-    *,
-    seed: int = 0,
-    duration: float = 12.0,
-    loss: float = LOSS,
-    with_faults: bool = True,
-    arms: Sequence[str] = ("plain", "hardened"),
-    telemetry_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the scenario once per arm (sequentially — one cluster at a
-    time keeps loopback RTTs honest) and assemble the report."""
-    results = {}
-    for arm in arms:
-        results[arm] = asyncio.run(
-            _run_arm(
-                arm,
-                seed=seed,
-                duration=duration,
-                loss=loss,
-                with_faults=with_faults,
-                telemetry_dir=telemetry_dir,
-            )
+def evaluate(outcomes: Sequence[LiveOutcome]) -> List[str]:
+    """The acceptance criteria, as a list of failures (empty = pass): the
+    hardened arm booted, measured round trips, and held zero MM-1 and
+    zero monotonicity violations.  The plain arm is reported only."""
+    return [
+        f"hardened seed {o.seed}: booted={o.booted}, {o.rtt_count} round "
+        f"trip(s), {o.mm1_violations} MM-1 and {o.monotonicity_violations} "
+        f"monotonicity violation(s)"
+        for o in outcomes
+        if o.arm == "hardened"
+        and not (
+            o.booted
+            and o.rtt_count
+            and o.mm1_violations == 0
+            and o.monotonicity_violations == 0
         )
-    hardened = results.get("hardened")
-    ok = True
-    if hardened is not None:
-        ok = (
-            hardened["booted"]
-            and hardened["mm1_violations"] == 0
-            and hardened["monotonicity_violations"] == 0
-            and hardened["rtt_count"] > 0
-        )
-    return {
-        "experiment": "live_gauntlet",
-        "seed": seed,
-        "duration": duration,
-        "arms": results,
-        "plain_degraded": (
-            results["plain"]["mm1_violations"] > 0 if "plain" in results else None
-        ),
-        "ok": ok,
-    }
+    ]
 
 
-def main(
-    *,
-    seeds: Sequence[int] = (0,),
-    json_path: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
-    duration: float = 12.0,
-) -> bool:
-    """Run the live gauntlet for each seed; print and persist the report."""
-    reports = []
-    all_ok = True
-    for seed in seeds:
-        report = run(seed=seed, duration=duration, telemetry_dir=telemetry_dir)
-        reports.append(report)
-        all_ok = all_ok and report["ok"]
-        for arm in ("plain", "hardened"):
-            if arm not in report["arms"]:
-                continue
-            res = report["arms"][arm]
-            print(
-                f"seed {seed} {arm:>9}: mm1={res['mm1_violations']:4d} "
-                f"mono={res['monotonicity_violations']:4d} "
-                f"xi_live={res['xi_live']:.4f}s (declared {res['xi_declared']:.2f}s) "
-                f"rtt_n={res['rtt_count']} restarts={res['crash_restarts']}"
-            )
-    print(f"live gauntlet: {'PASS' if all_ok else 'FAIL'}")
-    if json_path:
-        payload = reports[0] if len(reports) == 1 else {
-            "experiment": "live_gauntlet",
-            "reports": reports,
-            "ok": all_ok,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    return all_ok
+def _run(cell, arm: str, seed: int, **params) -> LiveOutcome:
+    return asyncio.run(run_arm(arm, seed=seed, **params))
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="live-gauntlet",
+    run=_run,
+    arms=tuple(ARM_KINDS),
+    seeds=(0,),
+    params={"duration": 12.0},
+    setting={"nodes": len(NODE_PARAMS), "loss": LOSS},
+    columns=(
+        ("seed", lambda o: o.seed),
+        ("arm", lambda o: o.arm),
+        ("mm1", lambda o: o.mm1_violations),
+        ("mono", lambda o: o.monotonicity_violations),
+        ("xi_live s", lambda o: f"{o.xi_live:.4f}"),
+        ("declared s", lambda o: f"{o.xi_declared:.2f}"),
+        ("rtt_n", lambda o: o.rtt_count),
+        ("restarts", lambda o: o.crash_restarts),
+    ),
+    evaluate=evaluate,
+    telemetry=lambda **_: NodeMetrics(),
+    bundle=gauntlet.NODE_BUNDLE,
+)

@@ -25,10 +25,9 @@ path too.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -38,13 +37,15 @@ from ..kernel import build_kernel_service, intersect_tolerating_vec
 from ..network.delay import UniformDelay
 from ..network.topology import stratum_hierarchy, stratum_of
 from ..service.builder import ServerSpec
+from . import gauntlet
 
 __all__ = [
     "StratumReport",
     "ScaleRunOutcome",
     "build_specs",
     "run_scale",
-    "main",
+    "evaluate",
+    "GAUNTLET",
 ]
 
 BASE_DELTA = 1e-5  # stratum-1 drift ceiling; deeper strata drift worse
@@ -218,147 +219,94 @@ def run_scale(
     )
 
 
-def main(
-    *,
-    sizes: Sequence[int] = (1000, 10000),
-    seeds: Sequence[int] = (0,),
-    shards: int = 4,
-    processes: int = 0,
-    tau: float = DEFAULT_TAU,
-    cycles: int = DEFAULT_CYCLES,
-    json_path: Optional[str] = None,
-) -> bool:
-    """Run the MM-vs-IM matrix, print the report, return pass/fail.
+def _run(size: int, policy: str, seed: int, *, telemetry=None, **params):
+    return run_scale(size, policy, seed, **params)
 
-    Pass requires, for every cell: a completed run, a neighbour-interval
-    census of at least 99%, and no stratum growing its mean error faster
-    than the Lemma 1 drift ceiling; plus, per (size, seed), the Theorem 8
-    comparison — IM's mean error must not exceed MM's.
-    """
-    from ..analysis.plots import render_table
 
-    outcomes: List[ScaleRunOutcome] = []
-    for size in sizes:
-        for seed in seeds:
-            for policy_name in ("MM", "IM"):
-                outcomes.append(
-                    run_scale(
-                        size,
-                        policy_name,
-                        seed,
-                        shards=shards,
-                        processes=processes,
-                        tau=tau,
-                        cycles=cycles,
-                    )
-                )
-
-    theorem8: List[Dict[str, object]] = []
-    for size in sizes:
-        for seed in seeds:
-            mm = next(
-                o for o in outcomes
-                if o.size == size and o.seed == seed and o.policy == "MM"
-            )
-            im = next(
-                o for o in outcomes
-                if o.size == size and o.seed == seed and o.policy == "IM"
-            )
-            theorem8.append(
-                {
-                    "size": size,
-                    "seed": seed,
-                    "mm_mean_error": mm.mean_error,
-                    "im_mean_error": im.mean_error,
-                    "im_no_worse": im.mean_error <= mm.mean_error,
-                }
-            )
-
-    ok = all(
-        o.census_fraction >= 0.99 and o.growth_ok for o in outcomes
-    ) and all(row["im_no_worse"] for row in theorem8)
-
-    print(
-        f"scale gauntlet: stratum hierarchies at {list(sizes)} servers, "
-        f"MM vs IM, τ={tau:g}s, {cycles} cycles, {shards} shard(s), "
-        f"{processes} process(es)"
-    )
-    print(
-        render_table(
-            [
-                "size",
-                "policy",
-                "seed",
-                "cycles",
-                "events",
-                "events/s",
-                "mean E",
-                "max E",
-                "census",
-                "growth ok",
-                "digest",
-            ],
-            [
-                [
-                    o.size,
-                    o.policy,
-                    o.seed,
-                    o.cycles_done,
-                    o.events,
-                    f"{o.events_per_sec:,.0f}",
-                    f"{o.mean_error * 1e3:.3f} ms",
-                    f"{o.max_error * 1e3:.3f} ms",
-                    f"{o.census_fraction:.3f}",
-                    "yes" if o.growth_ok else "NO",
-                    f"{o.state_digest:08x}",
-                ]
-                for o in outcomes
-            ],
-        )
-    )
-    print("\nTheorem 8 (IM mean error <= MM mean error, matched runs):")
-    print(
-        render_table(
-            ["size", "seed", "MM mean E", "IM mean E", "IM no worse"],
-            [
-                [
-                    row["size"],
-                    row["seed"],
-                    f"{row['mm_mean_error'] * 1e3:.3f} ms",
-                    f"{row['im_mean_error'] * 1e3:.3f} ms",
-                    "yes" if row["im_no_worse"] else "NO",
-                ]
-                for row in theorem8
-            ],
-        )
-    )
-    largest = max(outcomes, key=lambda o: o.size)
-    print(
-        f"\nlargest run: {largest.size} servers at "
-        f"{largest.events_per_sec:,.0f} events/s "
-        f"({largest.events} events in {largest.wall_seconds:.2f}s wall)."
-    )
-    print("PASS" if ok else "FAIL")
-
-    if json_path:
-        report = {
-            "experiment": "scale_gauntlet",
-            "sizes": list(sizes),
-            "seeds": list(seeds),
-            "shards": shards,
-            "processes": processes,
-            "tau": tau,
-            "cycles": cycles,
-            "ok": ok,
-            "theorem8": theorem8,
-            "runs": [asdict(o) for o in outcomes],
+def _theorem8(outcomes: Sequence[ScaleRunOutcome]) -> List[Dict[str, object]]:
+    """Theorem 8 per matched (size, seed): IM's mean error against MM's."""
+    mm = {(o.size, o.seed): o.mean_error for o in outcomes if o.policy == "MM"}
+    im = {(o.size, o.seed): o.mean_error for o in outcomes if o.policy == "IM"}
+    return [
+        {
+            "size": size,
+            "seed": seed,
+            "mm_mean_error": mm[size, seed],
+            "im_mean_error": im[size, seed],
+            "im_no_worse": im[size, seed] <= mm[size, seed],
         }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_path}")
-    return ok
+        for size, seed in mm
+        if (size, seed) in im
+    ]
+
+
+def evaluate(outcomes: Sequence[ScaleRunOutcome]) -> List[str]:
+    """The acceptance criteria, as a list of failures (empty = pass).
+
+    Every run needs a neighbour-interval census of at least 99% and no
+    stratum growing its mean error faster than the Lemma 1 drift
+    ceiling; every matched (size, seed) pair needs IM's mean error no
+    worse than MM's (Theorem 8).
+    """
+    problems: List[str] = []
+    for o in outcomes:
+        where = f"{o.size} servers {o.policy} seed {o.seed}"
+        if o.census_fraction < 0.99:
+            problems.append(f"{where}: census {o.census_fraction:.3f} < 0.99")
+        fast = [stratum.stratum for stratum in o.strata if not stratum.ok]
+        if fast:
+            problems.append(f"{where}: strata {fast} outgrew the Lemma 1 ceiling")
+    for row in _theorem8(outcomes):
+        if not row["im_no_worse"]:
+            problems.append(
+                f"{row['size']} servers seed {row['seed']}: IM mean error "
+                f"{row['im_mean_error']:.3g}s above MM's {row['mm_mean_error']:.3g}s"
+            )
+    return problems
+
+
+def _check(sizes, *, shards: int, processes: int, **_: Any):
+    if not sizes or any(size < 1 for size in sizes):
+        return "--sizes must be positive"
+    if shards < 1 or processes < 0:
+        return "--shards must be >= 1 and --processes >= 0"
+    return None
+
+
+GAUNTLET = gauntlet.Gauntlet(
+    name="scale-gauntlet",
+    run=_run,
+    cells=(1000, 10000),
+    arms=("MM", "IM"),
+    seeds=(0,),
+    params={
+        "shards": 4,
+        "processes": 0,
+        "tau": DEFAULT_TAU,
+        "cycles": DEFAULT_CYCLES,
+    },
+    setting={"topology": "stratum_hierarchy"},
+    check=_check,
+    columns=(
+        ("size", lambda o: o.size),
+        ("policy", lambda o: o.policy),
+        ("seed", lambda o: o.seed),
+        ("cycles", lambda o: o.cycles_done),
+        ("events", lambda o: o.events),
+        ("events/s", lambda o: f"{o.events_per_sec:,.0f}"),
+        ("mean E", lambda o: f"{o.mean_error * 1e3:.3f} ms"),
+        ("max E", lambda o: f"{o.max_error * 1e3:.3f} ms"),
+        ("census", lambda o: f"{o.census_fraction:.3f}"),
+        ("growth ok", lambda o: "yes" if o.growth_ok else "NO"),
+        ("digest", lambda o: f"{o.state_digest:08x}"),
+    ),
+    evaluate=evaluate,
+    supplement=lambda outcomes, seeds, **_: (
+        {"theorem8": _theorem8(outcomes)},
+        [],
+    ),
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(gauntlet.main(GAUNTLET))

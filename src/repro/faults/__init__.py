@@ -99,24 +99,32 @@ __all__ = [
 
 def attach_chaos(
     service,
-    schedule: FaultSchedule,
+    schedule: Optional[FaultSchedule] = None,
     *,
     monitor_period: float = 5.0,
     monitor_grace: float = 2.0,
     monitor: bool = True,
+    strict: bool = False,
+    sync_window: Optional[float] = None,
     start: bool = True,
     registry=None,
     dynamic=None,
-) -> Tuple[FaultInjector, Optional[InvariantMonitor]]:
+) -> Tuple[Optional[FaultInjector], Optional[InvariantMonitor]]:
     """Attach an injector (and optionally a monitor) to a built service.
 
     Args:
         service: A :class:`~repro.service.builder.SimulatedService`.
-        schedule: The fault timeline to replay.
+        schedule: The fault timeline to replay; None attaches the
+            monitor alone.
         monitor_period: Seconds between invariant checks.
         monitor_grace: In-flight grace for taint attribution (see
             :class:`~repro.faults.monitor.InvariantMonitor`).
         monitor: Attach the invariant monitor at all.
+        strict: Hold every server to the invariants at all times: the
+            schedule's faults earn no exemption windows (the gauntlets'
+            strict oracle).
+        sync_window: The monitor's sync-plane progress window (None
+            disables that check).
         start: Start both processes immediately.
         registry: Telemetry registry for the monitor's
             ``repro_invariant_checks_total`` counters.  None falls back
@@ -126,35 +134,40 @@ def attach_chaos(
             those events are skipped when None.
 
     Returns:
-        ``(injector, monitor)`` — monitor is None when disabled.
+        ``(injector, monitor)`` — injector is None without a schedule,
+        monitor is None when disabled.
     """
     if registry is None:
         service_telemetry = getattr(service, "telemetry", None)
         if service_telemetry is not None and service_telemetry.registry.enabled:
             registry = service_telemetry.registry
-    injector = FaultInjector(
-        service.engine,
-        service.network,
-        service.servers,
-        schedule,
-        rng=service.rng.stream("faults/injector"),
-        trace=service.trace,
-        store=getattr(service, "stable_store", None),
-        dynamic=dynamic,
-    )
+    injector: Optional[FaultInjector] = None
+    if schedule is not None:
+        injector = FaultInjector(
+            service.engine,
+            service.network,
+            service.servers,
+            schedule,
+            rng=service.rng.stream("faults/injector"),
+            trace=service.trace,
+            store=getattr(service, "stable_store", None),
+            dynamic=dynamic,
+        )
     watcher: Optional[InvariantMonitor] = None
     if monitor:
         watcher = InvariantMonitor(
             service.engine,
             service.servers,
             service.trace,
-            schedule,
+            None if strict else schedule,
             period=monitor_period,
             grace=monitor_grace,
+            sync_window=sync_window,
             registry=registry,
         )
     if start:
-        injector.start()
+        if injector is not None:
+            injector.start()
         if watcher is not None:
             watcher.start()
     return injector, watcher

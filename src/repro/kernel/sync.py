@@ -4,10 +4,9 @@ The shard driver's correctness story rests on two reproducibility
 primitives:
 
 * :func:`trace_digest` — a CRC32 over a canonical rendering of trace rows,
-  byte-compatible with ``repro.experiments.chaos_soak.trace_digest`` (it is
-  re-implemented here rather than imported so the kernel package does not
-  drag in the whole experiments tree).  Equal digests mean equal traces,
-  row for row and field for field.
+  the scalar simulator's own :func:`repro.simulation.trace.trace_digest`
+  (re-exported here), so kernel and scalar digests compare directly.
+  Equal digests mean equal traces, row for row and field for field.
 * :func:`state_digest` — a CRC32 over the raw float64 state arrays plus the
   server-name ordering, for cheap "did two runs end in the same state"
   checks when traces are disabled.
@@ -25,11 +24,11 @@ but are merged blockwise (see ``docs/kernel.md``, "Known divergences").
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..simulation.trace import TraceRecord
+from ..simulation.trace import TraceRecord, trace_digest
 
 __all__ = [
     "trace_digest",
@@ -42,21 +41,6 @@ __all__ = [
 #: ``(cycle, phase_rank, seq, record)`` where ``seq`` is the row's index
 #: within its server's round.
 TaggedRow = Tuple[int, int, int, TraceRecord]
-
-
-def trace_digest(trace: Iterable[TraceRecord]) -> int:
-    """CRC32 digest of a trace, canonical-rendering-compatible with
-    ``repro.experiments.chaos_soak.trace_digest``."""
-    crc = 0
-    for row in trace:
-        rendered = "%r|%s|%s|%s" % (
-            row.time,
-            row.kind,
-            row.source,
-            ",".join(f"{key}={row.data[key]!r}" for key in sorted(row.data)),
-        )
-        crc = zlib.crc32(rendered.encode("utf-8"), crc)
-    return crc
 
 
 def state_digest(names: Sequence[str], *arrays: np.ndarray) -> int:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.byzantine import FaultBudgetController, ReputationConfig
 from repro.core.ft_im import FTIMPolicy, FTRoundOutcome
-from repro.experiments import figure3_liars
+from repro.experiments import figure3_liars, gauntlet
 from repro.faults import FaultSchedule, attach_chaos
 from repro.faults.schedule import ByzantineReplies
 from repro.network.delay import UniformDelay
@@ -294,11 +294,10 @@ class TestFigure3Gauntlet:
 
     @pytest.mark.byzantine
     def test_full_cell_plain_fails_ft_holds(self):
-        cell = figure3_liars.run_cell("k5", seed=1)
-        assert cell.plain_failed
-        assert cell.ft_held
-        assert cell.ft.poisoned_resets == 0
-        assert cell.ft.oracle_bad_samples == 0
-        assert cell.ft.all_liars_demoted
+        plain, ft = gauntlet.run_matrix(figure3_liars.GAUNTLET, seeds=(1,))
+        assert figure3_liars.evaluate([plain, ft]) == []
+        assert ft.poisoned_resets == 0
+        assert ft.oracle_bad_samples == 0
+        assert ft.all_liars_demoted
         # The plain arm really did adopt the lie somewhere.
-        assert cell.plain.poisoned_resets > 0 or cell.plain.oracle_bad_samples > 0
+        assert plain.poisoned_resets > 0 or plain.oracle_bad_samples > 0

@@ -351,18 +351,18 @@ class TestSoak:
 
 class TestTraceDigest:
     def test_digest_changes_with_content(self):
-        from repro.simulation.trace import TraceRecorder
+        from repro.simulation.trace import TraceRecorder, trace_digest
 
         one = TraceRecorder()
         one.record(1.0, "reset", "S1", new_error=0.5)
         two = TraceRecorder()
         two.record(1.0, "reset", "S1", new_error=0.25)
-        assert chaos_soak.trace_digest(one) != chaos_soak.trace_digest(two)
+        assert trace_digest(one) != trace_digest(two)
 
     def test_digest_empty_is_zero(self):
-        from repro.simulation.trace import TraceRecorder
+        from repro.simulation.trace import TraceRecorder, trace_digest
 
-        assert chaos_soak.trace_digest(TraceRecorder()) == 0
+        assert trace_digest(TraceRecorder()) == 0
 
 
 def test_corruption_produces_rejectable_garbage():

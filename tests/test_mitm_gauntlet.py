@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import gauntlet
 from repro.experiments.mitm_gauntlet import (
     ARMS,
     CELLS,
+    GAUNTLET,
     GauntletCell,
     evaluate,
     run_gauntlet,
-    run_matrix,
 )
 
 pytestmark = pytest.mark.security
@@ -25,7 +26,7 @@ pytestmark = pytest.mark.security
 
 @pytest.fixture(scope="module")
 def matrix():
-    return run_matrix(seeds=(0,))
+    return gauntlet.run_matrix(GAUNTLET, seeds=(0,))
 
 
 def _pick(matrix, cell, arm):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.mm import MMPolicy
 from repro.core.recovery import RecoveryStrategy, ThirdServerRecovery
-from repro.experiments import figure4_repair
+from repro.experiments import figure4_repair, gauntlet
 from repro.faults import FaultSchedule, ServerCrash, attach_chaos
 from repro.network.delay import UniformDelay
 from repro.recovery import (
@@ -632,13 +632,11 @@ class TestFigure4Repair:
         assert result.final_epochs["G1"] > 0  # G1 merged its way back
 
     def test_comparison_verdicts(self):
-        comparison = figure4_repair.run_comparison()
-        assert comparison.figure4_reproduced
-        assert comparison.repaired
-        assert (
-            comparison.stabilized.poisoned_recoveries
-            < comparison.plain.poisoned_recoveries
-        )
+        plain, stabilized = gauntlet.run_matrix(figure4_repair.GAUNTLET)
+        assert figure4_repair.evaluate([plain, stabilized]) == []
+        assert plain.passed  # Figure 4 reproduced
+        assert stabilized.passed  # repaired
+        assert stabilized.poisoned_recoveries < plain.poisoned_recoveries
 
     def test_crash_soak_warm_restarts_correct_across_seeds(self):
         rows = figure4_repair.crash_soak(seeds=(1, 2, 3, 4, 5))

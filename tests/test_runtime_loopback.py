@@ -209,13 +209,14 @@ def test_supervisor_graceful_drain():
 
 def test_live_gauntlet_smoke_faultless_arm():
     """A short fault-free hardened run of the gauntlet harness is clean."""
-    report = live_gauntlet.run(
-        seed=1, duration=4.0, loss=0.0, with_faults=False, arms=("hardened",)
+    arm = asyncio.run(
+        live_gauntlet.run_arm(
+            "hardened", seed=1, duration=4.0, loss=0.0, with_faults=False
+        )
     )
-    arm = report["arms"]["hardened"]
-    assert arm["booted"]
-    assert arm["mm1_violations"] == 0
-    assert arm["monotonicity_violations"] == 0
-    assert arm["rtt_count"] > 0
-    assert arm["xi_live"] < arm["xi_declared"]
-    assert report["ok"]
+    assert arm.booted
+    assert arm.mm1_violations == 0
+    assert arm.monotonicity_violations == 0
+    assert arm.rtt_count > 0
+    assert arm.xi_live < arm.xi_declared
+    assert live_gauntlet.evaluate([arm]) == []
