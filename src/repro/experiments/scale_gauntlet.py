@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.im import IMPolicy
 from ..core.mm import MMPolicy
-from ..kernel import build_kernel_service, intersect_tolerating_vec
+from ..kernel import build_kernel_service, cycle_close_bound, intersect_tolerating_vec
 from ..network.delay import UniformDelay
-from ..network.topology import stratum_hierarchy, stratum_of
+from ..network.topology import csr_adjacency, stratum_hierarchy, stratum_of
 from ..service.builder import ServerSpec
 from . import gauntlet
 
@@ -120,20 +120,49 @@ def _census(graph, snapshot) -> float:
     rows at once.
     """
     names = sorted(graph.nodes)
-    degrees = {name: len(list(graph.neighbors(name))) for name in names}
-    max_deg = max(degrees.values())
-    lo = np.zeros((len(names), max_deg))
-    hi = np.zeros((len(names), max_deg))
-    valid = np.zeros((len(names), max_deg), dtype=bool)
-    for i, name in enumerate(names):
-        for q, nbr in enumerate(sorted(graph.neighbors(name))):
-            value = snapshot.values[nbr]
-            error = snapshot.errors[nbr]
-            lo[i, q] = value - error
-            hi[i, q] = value + error
-            valid[i, q] = True
+    indptr, indices = csr_adjacency(graph, {name: i for i, name in enumerate(names)})
+    values = np.array([snapshot.values[name] for name in names])
+    errors = np.array([snapshot.errors[name] for name in names])
+    degrees = np.diff(indptr)
+    valid = np.arange(degrees.max())[None, :] < degrees[:, None]
+    lo = np.zeros(valid.shape)
+    hi = np.zeros(valid.shape)
+    lo[valid] = values[indices] - errors[indices]
+    hi[valid] = values[indices] + errors[indices]
     batch = intersect_tolerating_vec(lo, hi, faults=0, valid=valid)
     return float(batch.ok.mean())
+
+
+def _closed_cycles(size: int, tau: float, time: float) -> int:
+    """Cycles a bulk run of ``size`` servers has closed by ``time``."""
+    cycles = 0
+    while cycle_close_bound(cycles, servers=size, tau=tau, delay_bound=ONE_WAY) <= time:
+        cycles += 1
+    return cycles
+
+
+def _window_refusal(size: int, tau: float, cycles: int) -> Optional[str]:
+    """Why the Lemma 1 window of a ``cycles``-cycle run is empty, if it is.
+
+    The growth is measured between snapshots at ``(cycles // 2)·τ`` and
+    ``cycles·τ``; with no closed cycle before the first, it is the initial
+    state, and with none between them there is nothing to measure.
+    """
+    if tau <= 0:
+        return f"--tau must be positive, got {tau}"
+    mid = _closed_cycles(size, tau, (cycles // 2) * tau)
+    end = _closed_cycles(size, tau, cycles * tau)
+    if mid == 0:
+        return (
+            f"--cycles {cycles}: no cycle of a {size}-server run closes before "
+            f"the Lemma 1 midpoint {(cycles // 2) * tau:g}s (tau {tau:g}s)"
+        )
+    if end == mid:
+        return (
+            f"--cycles {cycles}: no cycle of a {size}-server run closes between "
+            f"the Lemma 1 midpoint and the horizon (tau {tau:g}s)"
+        )
+    return None
 
 
 def run_scale(
@@ -146,7 +175,14 @@ def run_scale(
     tau: float = DEFAULT_TAU,
     cycles: int = DEFAULT_CYCLES,
 ) -> ScaleRunOutcome:
-    """Run one cell: a ``size``-server stratum hierarchy under MM or IM."""
+    """Run one cell: a ``size``-server stratum hierarchy under MM or IM.
+
+    Raises:
+        ValueError: If the Lemma 1 window holds no closed cycle.
+    """
+    refusal = _window_refusal(size, tau, cycles)
+    if refusal:
+        raise ValueError(refusal)
     policy = MMPolicy() if policy_name.upper() == "MM" else IMPolicy()
     graph = stratum_hierarchy(size)
     specs = build_specs(graph)
@@ -168,6 +204,7 @@ def run_scale(
         start = time.perf_counter()
         service.run_until(mid)
         mid_snapshot = service.snapshot()
+        mid_cycles = service.cycles_done
         service.run_until(horizon)
         wall = time.perf_counter() - start
         snapshot = service.snapshot()
@@ -180,7 +217,8 @@ def run_scale(
     by_stratum: Dict[int, List[str]] = {}
     for name in snapshot.values:
         by_stratum.setdefault(stratum_of(name), []).append(name)
-    elapsed_cycles = max(1.0, (horizon - mid) / tau)
+    # Growth per cycle the window actually closed, not per cycle requested.
+    elapsed_cycles = cycles_done - mid_cycles
     strata = []
     for stratum in sorted(by_stratum):
         members = by_stratum[stratum]
@@ -265,11 +303,15 @@ def evaluate(outcomes: Sequence[ScaleRunOutcome]) -> List[str]:
     return problems
 
 
-def _check(sizes, *, shards: int, processes: int, **_: Any):
+def _check(sizes, *, shards: int, processes: int, tau: float, cycles: int, **_: Any):
     if not sizes or any(size < 1 for size in sizes):
         return "--sizes must be positive"
     if shards < 1 or processes < 0:
         return "--shards must be >= 1 and --processes >= 0"
+    for size in sizes:
+        refusal = _window_refusal(size, tau, cycles)
+        if refusal:
+            return refusal
     return None
 
 

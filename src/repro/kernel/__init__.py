@@ -38,7 +38,12 @@ from .marzullo_vec import (
     marzullo_vec,
     stack_intervals,
 )
-from .shard import ShardedKernelService, partition_names
+from .shard import (
+    DelayTable,
+    ShardedKernelService,
+    cycle_close_bound,
+    partition_names,
+)
 from .sync import merge_rows, state_digest, trace_digest
 
 __all__ = [
@@ -60,7 +65,9 @@ __all__ = [
     "intersect_tolerating_vec",
     "marzullo_vec",
     "stack_intervals",
+    "DelayTable",
     "ShardedKernelService",
+    "cycle_close_bound",
     "partition_names",
     "merge_rows",
     "state_digest",

@@ -14,8 +14,9 @@ deliveries — and processes whole rounds as array phases.  Two modes:
   same float evaluation order, same trace rows: the differential suite
   asserts equal trace digests against the scalar engine.
 * **bulk** (:mod:`repro.kernel.shard`) — the scale mode: per-cycle numpy
-  phases across all servers of a shard, per-*server* RNG streams (so
-  digests are invariant under re-sharding), and Jacobi round semantics
+  phases across all servers of a shard, counter-based delay draws keyed by
+  (seed, cycle, edge slot) (so digests are invariant under re-sharding),
+  and Jacobi round semantics
   (answers are computed from neighbour state as of the cycle start; see
   ``docs/kernel.md`` for why that preserves correctness and where it
   diverges from the heap engine).
@@ -35,14 +36,17 @@ engine's order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..core.im import IMPolicy
 from ..core.mm import MMPolicy
 from ..core.sync import SynchronizationPolicy
 from ..network.delay import DelayModel, UniformDelay
+from ..network.topology import csr_adjacency
 from ..service.builder import ServerSpec, ServiceSnapshot
 from ..service.server import ServerStats
 from ..simulation.rng import RngRegistry
@@ -107,27 +111,47 @@ class KernelConfig:
     delay: Optional[DelayModel] = None
     round_timeout: Optional[float] = None
     trace_enabled: bool = True
-    prefetch_cycles: int = 32
 
 
 @dataclass
 class KernelPlan:
-    """Validated, precomputed static structure shared by both modes."""
+    """Validated, precomputed static structure shared by both modes.
+
+    Servers are identified by *rank*, their index in sorted-name order.
+    The topology is CSR: server ``r``'s neighbours, ascending by rank (so
+    sorted by name), are ``indices[indptr[r]:indptr[r + 1]]``.  Per-server
+    arrays are float64, indexed by rank.
+    """
 
     names: List[str]
     index: Dict[str, int]
-    phases: List[float]  # per server, builder's stagger formula
-    neighbours: List[List[str]]  # sorted, per server
-    deltas: List[float]
-    skews: List[float]
-    initial_errors: List[float]
+    indptr: np.ndarray
+    indices: np.ndarray
+    phases: np.ndarray  # builder's stagger formula
+    deltas: np.ndarray
+    skews: np.ndarray
+    initial_errors: np.ndarray
     flags: PolicyFlags
     tau: float
     seed: int
     delay_min: float
     delay_bound: float
     trace_enabled: bool
-    prefetch_cycles: int
+
+    def neighbours(self, rank: int) -> List[str]:
+        """Server ``rank``'s neighbour names, sorted."""
+        nbrs = self.indices[self.indptr[rank] : self.indptr[rank + 1]]
+        return [self.names[j] for j in nbrs.tolist()]
+
+
+_NO_KERNEL_TWIN = attrgetter(
+    "reference",
+    "rate_tracking",
+    "discipline",
+    "self_stabilizing",
+    "byzantine_tolerant",
+    "holdover",
+)
 
 
 def plan_kernel(config: KernelConfig) -> KernelPlan:
@@ -153,19 +177,8 @@ def plan_kernel(config: KernelConfig) -> KernelPlan:
     if set(config.graph.nodes) != set(names):
         raise ValueError("kernel runs need exactly one spec per topology node")
     for spec in config.specs:
-        unsupported = [
-            flag
-            for flag in (
-                "reference",
-                "rate_tracking",
-                "discipline",
-                "self_stabilizing",
-                "byzantine_tolerant",
-                "holdover",
-            )
-            if getattr(spec, flag)
-        ]
-        if unsupported or not spec.polls or spec.clock_factory is not None:
+        twinless = any(_NO_KERNEL_TWIN(spec)) or spec.clock_factory is not None
+        if twinless or not spec.polls:
             raise ValueError(
                 f"spec {spec.name!r} uses features without a kernel twin "
                 f"(plain polling DriftingClock servers only)"
@@ -176,26 +189,29 @@ def plan_kernel(config: KernelConfig) -> KernelPlan:
     ordered = sorted(names)
     index = {name: i for i, name in enumerate(ordered)}
     n = len(ordered)
-    # The builder's deterministic stagger: server k polls first at
-    # tau * (k + 1) / (n + 1), then every tau by repeated addition.
-    phases = [config.tau * (k + 1) / (n + 1) for k in range(n)]
     by_name = {spec.name: spec for spec in config.specs}
-    neighbours = [sorted(config.graph.neighbors(name)) for name in ordered]
+    specs = [by_name[name] for name in ordered]
+    indptr, indices = csr_adjacency(config.graph, index)
+    tau = float(config.tau)
     return KernelPlan(
         names=ordered,
         index=index,
-        phases=phases,
-        neighbours=neighbours,
-        deltas=[float(by_name[name].delta) for name in ordered],
-        skews=[float(by_name[name].skew) for name in ordered],
-        initial_errors=[float(by_name[name].initial_error) for name in ordered],
+        indptr=indptr,
+        indices=indices,
+        # The builder's deterministic stagger: server k polls first at
+        # tau * (k + 1) / (n + 1), then every tau by repeated addition.
+        phases=tau * np.arange(1, n + 1, dtype=np.float64) / (n + 1),
+        deltas=np.array([spec.delta for spec in specs], dtype=np.float64),
+        skews=np.array([spec.skew for spec in specs], dtype=np.float64),
+        initial_errors=np.array(
+            [spec.initial_error for spec in specs], dtype=np.float64
+        ),
         flags=flags,
-        tau=float(config.tau),
+        tau=tau,
         seed=int(config.seed),
         delay_min=float(delay.minimum),
         delay_bound=float(delay.bound),
         trace_enabled=bool(config.trace_enabled),
-        prefetch_cycles=max(1, int(config.prefetch_cycles)),
     )
 
 
@@ -272,17 +288,24 @@ class ExactKernelService:
         self._now = 0.0
         self._events = 0
         self._servers: Dict[str, _ExactServer] = {}
-        for i, name in enumerate(plan.names):
+        rows = zip(
+            plan.names,
+            plan.deltas.tolist(),
+            plan.skews.tolist(),
+            plan.initial_errors.tolist(),
+            plan.phases.tolist(),
+        )
+        for rank, (name, delta, skew, eps, phase) in enumerate(rows):
             self._servers[name] = _ExactServer(
                 name=name,
-                delta=plan.deltas[i],
-                skew=plan.skews[i],
+                delta=delta,
+                skew=skew,
                 seg_start=0.0,
                 seg_value=0.0,
-                eps=plan.initial_errors[i],
+                eps=eps,
                 r=0.0,  # clock.read(0.0) at on_start
-                poll_t=plan.phases[i],
-                dests=list(plan.neighbours[i]),
+                poll_t=phase,
+                dests=plan.neighbours(rank),
             )
         # Phase order == sorted-name order (the builder enumerates sorted
         # polling names); rounds are processed serially in this order.
@@ -548,7 +571,6 @@ def build_kernel_service(
     processes: int = 0,
     round_timeout: Optional[float] = None,
     trace_enabled: bool = True,
-    prefetch_cycles: int = 32,
 ):
     """Build a kernel service — the batched twin of ``build_service``.
 
@@ -573,7 +595,6 @@ def build_kernel_service(
         delay=lan_delay,
         round_timeout=round_timeout,
         trace_enabled=trace_enabled,
-        prefetch_cycles=prefetch_cycles,
     )
     if mode == "exact":
         if shards != 1 or processes:

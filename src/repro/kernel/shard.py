@@ -27,26 +27,27 @@ This is the classic conservative-lookahead argument with the minimum link
 delay ξ as the safe horizon, specialised to the round structure: the
 lookahead window is a whole cycle, not just ``ξ``.
 
-**Determinism across shard counts.**  Each server draws its cycle delays
-from its own ``kernel/{name}`` stream (2·deg uniforms per cycle: request
-legs to sorted neighbours, then reply legs), so the draw sequence is a
-function of (seed, name, degree) only — never of the partition.  Combined
-with the Jacobi answer basis and blockwise trace merging
-(:func:`repro.kernel.sync.merge_rows`), a 1-shard and an N-shard run of the
-same seed produce identical traces and state digests; the regression suite
-asserts it.
+**Determinism across shard counts.**  A cycle's delays are one
+counter-based table indexed by *edge slot* (:class:`DelayTable`): server
+``r`` owns the ``2·deg`` slots from ``2·indptr[r]`` and a shard draws just
+its contiguous range, so every delay is a function of (seed, cycle, slot)
+alone — never of the partition.  Combined with the Jacobi answer basis and
+blockwise trace merging (:func:`repro.kernel.sync.merge_rows`), a 1-shard
+and an N-shard run of the same seed produce identical traces and state
+digests; the regression suite asserts it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..service.builder import ServiceSnapshot
 from ..service.server import ServerStats
-from ..simulation.rng import RngRegistry
 from ..simulation.trace import TraceRecord
 from .batch import SELF_SLOT, im2_round
 from .engine import KernelConfig, KernelPlan, plan_kernel
@@ -54,6 +55,8 @@ from .sync import TaggedRow, merge_rows, state_digest
 
 __all__ = [
     "partition_names",
+    "cycle_close_bound",
+    "DelayTable",
     "ShardedKernelService",
 ]
 
@@ -67,145 +70,169 @@ _STAT_FIELDS = (
 )
 
 
+def _block_bounds(n: int, shards: int) -> np.ndarray:
+    return np.linspace(0, n, shards + 1).astype(int)
+
+
 def partition_names(names: Sequence[str], shards: int) -> List[List[str]]:
     """Split sorted server names into ``shards`` contiguous blocks."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, len(names))
-    bounds = np.linspace(0, len(names), shards + 1).astype(int)
-    return [list(names[bounds[s] : bounds[s + 1]]) for s in range(shards)]
+    bounds = _block_bounds(len(names), min(shards, len(names)))
+    return [list(names[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _shard_metadata(plan: KernelPlan, shards: int):
-    """Per-shard (local, halo, border) name lists, identical in parent and
-    workers (both derive it from the plan)."""
-    blocks = partition_names(plan.names, shards)
-    halos: List[List[str]] = []
-    borders: List[List[str]] = []
-    for block in blocks:
-        local = set(block)
-        halo = set()
-        border = set()
-        for name in block:
-            for nbr in plan.neighbours[plan.index[name]]:
-                if nbr not in local:
-                    halo.add(nbr)
-                    border.add(name)
-        halos.append(sorted(halo))
-        borders.append(sorted(border))
-    return blocks, halos, borders
+def cycle_close_bound(
+    cycle: int, *, servers: int, tau: float, delay_bound: float
+) -> float:
+    """Latest possible close of any cycle-``cycle`` round of a bulk run.
+
+    The last server's stagger phase is ``τ·n/(n+1)`` (the builder's
+    formula) and a round spans at most ``2·bound``.
+    """
+    return tau * servers / (servers + 1) + cycle * tau + 2.0 * delay_bound
+
+
+class DelayTable:
+    """Every cycle's link delays of one bulk run, drawn by edge slot.
+
+    Slot ``k`` of cycle ``c`` is word ``k % 4`` of the first block that
+    ``Philox(key=key, counter=(k // 4, c, 0, 0))`` generates, as a uniform
+    on ``[lo, hi)`` by numpy's own formula: ``u = (x >> 11)·2⁻⁵³``, then
+    ``lo + (hi − lo)·u``.  So slots ``[start, stop)`` equal
+    ``Generator(Philox(...)).uniform(lo, hi, stop - start)`` after skipping
+    ``start % 4`` raw words.
+    """
+
+    def __init__(self, seed: int, lo: float, hi: float) -> None:
+        self.key = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+        self._lo = lo
+        self._span = hi - lo
+        # One generator, re-pointed at each draw: building a Philox also
+        # gathers OS entropy for a seed the key then overrides.
+        self._bitgen = np.random.Philox(key=self.key)
+        self._empty = np.zeros(4, dtype=np.uint64)
+
+    def draw(self, cycle: int, start: int, stop: int) -> np.ndarray:
+        """Slots ``[start, stop)`` of cycle ``cycle``."""
+        first = start - start % 4
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([start // 4, cycle, 0, 0], dtype=np.uint64),
+                "key": self.key,
+            },
+            "buffer": self._empty,
+            "buffer_pos": 4,  # buffer spent: the next word starts a block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        raw = self._bitgen.random_raw(stop - first)[start - first :]
+        return self._lo + self._span * ((raw >> np.uint64(11)) * 2.0**-53)
+
+
+@dataclass(frozen=True)
+class _ShardLayout:
+    """One shard's servers ``[lo, hi)`` by rank, the off-shard neighbours
+    it reads (``halo``, ascending ranks) and the local positions of its
+    servers with off-shard neighbours (``border``)."""
+
+    lo: int
+    hi: int
+    halo: np.ndarray
+    border: np.ndarray
+
+
+def _shard_layouts(plan: KernelPlan, shards: int) -> List[_ShardLayout]:
+    """Every shard's layout, computed once from the plan's CSR arrays."""
+    bounds = _block_bounds(len(plan.names), shards)
+    layouts = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        nbrs = plan.indices[plan.indptr[lo] : plan.indptr[hi]]
+        rows = np.repeat(np.arange(hi - lo), np.diff(plan.indptr[lo : hi + 1]))
+        off = (nbrs < lo) | (nbrs >= hi)
+        layouts.append(
+            _ShardLayout(lo, hi, np.unique(nbrs[off]), np.unique(rows[off]))
+        )
+    return layouts
 
 
 class _BulkShard:
     """One shard's state and per-cycle vectorized round processing."""
 
-    def __init__(self, plan: KernelPlan, shard_index: int, shards: int) -> None:
+    def __init__(self, plan: KernelPlan, layout: _ShardLayout) -> None:
         self.plan = plan
-        blocks, halos, borders = _shard_metadata(plan, shards)
-        self.local_names = blocks[shard_index]
-        self.halo_names = halos[shard_index]
-        local_pos = {name: i for i, name in enumerate(self.local_names)}
-        self._border_local_idx = np.array(
-            [local_pos[name] for name in borders[shard_index]], dtype=np.int64
-        )
-        m = len(self.local_names)
+        lo, hi = layout.lo, layout.hi
+        m = hi - lo
         self._m = m
-        rank = plan.index
-        self._ranks = np.array([rank[name] for name in self.local_names], dtype=np.int64)
-        comb_names = self.local_names + self.halo_names
-        comb_pos = {name: i for i, name in enumerate(comb_names)}
-        self._nbr_names: List[List[str]] = [
-            plan.neighbours[rank[name]] for name in self.local_names
-        ]
-        self.deg = np.array([len(nbrs) for nbrs in self._nbr_names], dtype=np.int64)
-        self._max_deg = int(self.deg.max()) if m else 0
-        D = self._max_deg
+        self.local_names = plan.names[lo:hi]
+        self._ranks = np.arange(lo, hi)
+        self._border_local_idx = layout.border
+        # Answers read a combined table: local servers, then the halo.
+        self._comb_ranks = np.concatenate([self._ranks, layout.halo])
+        indptr = plan.indptr[lo : hi + 1]
+        self.deg = np.diff(indptr)
+        D = int(self.deg.max()) if m else 0
+        self._max_deg = D
+        # Neighbour q of row i sits in column q, so the valid slots are the
+        # first deg[i] columns — also the real replies in arrival-rank order.
+        self._valid = np.arange(D)[None, :] < self.deg[:, None]
+        self._invalid = ~self._valid
+        nbrs = plan.indices[indptr[0] : indptr[-1]]
+        rows = np.repeat(np.arange(m), self.deg)
+        inside = (nbrs >= lo) & (nbrs < hi)
         self._nbr_idx = np.zeros((m, D), dtype=np.int64)
-        self._valid = np.zeros((m, D), dtype=bool)
-        for i, nbrs in enumerate(self._nbr_names):
-            for q, nbr in enumerate(nbrs):
-                self._nbr_idx[i, q] = comb_pos[nbr]
-                self._valid[i, q] = True
-        # Per-cycle invariants, hoisted: row indices for gather-by-arrival
-        # (``arr[rows, order]``), slot validity in arrival-rank order (the
-        # first deg[i] ranks of a row are real replies), and drift factors.
+        self._nbr_idx[self._valid] = np.where(
+            inside, nbrs - lo, m + np.searchsorted(layout.halo, nbrs)
+        )
+        # Delay-table slots: row i's requests start at 2·indptr[i] and its
+        # replies deg[i] later; ``_gather`` lays them out as (m, 2D) rows,
+        # padding pointing at a trailing zero.
+        self._slots = (2 * int(indptr[0]), 2 * int(indptr[-1]))
+        request = np.arange(nbrs.size) + (indptr[:-1] - indptr[0])[rows]
+        self._gather = np.full((m, 2 * D), self._slots[1] - self._slots[0])
+        self._gather[:, :D][self._valid] = request
+        self._gather[:, D:][self._valid] = request + self.deg[rows]
+        self._delays = DelayTable(plan.seed, plan.delay_min, plan.delay_bound)
+        self._events = int(m + 2 * self.deg.sum())
+        # Row indices for gather-by-arrival (``arr[rows, order]``).
         self._row_idx = np.arange(m)[:, None]
-        self._valid_rank = np.arange(D)[None, :] < self.deg[:, None]
-        self._invalid_rank = ~self._valid_rank
         # Per-slot outcome buffers: stats arithmetic runs once per cycle
         # over (D, m) instead of five int ops per slot.
         self._cons_buf = np.zeros((D, m), dtype=bool)
         self._acc_buf = np.zeros((D, m), dtype=bool)
-        self._empty_border = np.zeros((4, 0))
         # Static per-server rates (local view and combined answer-table view).
-        self.skew = np.array([plan.skews[rank[n]] for n in self.local_names])
-        self.delta = np.array([plan.deltas[rank[n]] for n in self.local_names])
+        self.skew = plan.skews[lo:hi]
+        self.delta = plan.deltas[lo:hi]
         self._one_skew = 1.0 + self.skew
         self._one_delta = 1.0 + self.delta
-        self._comb_skew = np.array([plan.skews[rank[n]] for n in comb_names])
-        self._comb_delta = np.array([plan.deltas[rank[n]] for n in comb_names])
+        self._comb_skew = plan.skews[self._comb_ranks]
+        self._comb_delta = plan.deltas[self._comb_ranks]
         # Mutable clock/error state (DriftingClock segments + MM-1 terms).
         self.seg_start = np.zeros(m)
         self.seg_value = np.zeros(m)
-        self.eps = np.array([plan.initial_errors[rank[n]] for n in self.local_names])
+        self.eps = plan.initial_errors[lo:hi].copy()
         self.r = np.zeros(m)
-        self.poll_t = np.array([plan.phases[rank[n]] for n in self.local_names])
+        self.poll_t = plan.phases[lo:hi].copy()
         self.stats = np.zeros((len(_STAT_FIELDS), m), dtype=np.int64)
         self.cycle = 0
-        # Per-server delay streams, block-prefetched: row c of a block is
-        # cycle c's 2·deg draws (request legs to sorted neighbours first,
-        # then reply legs) — shard-count-invariant by construction.
-        registry = RngRegistry(seed=plan.seed)
-        self._gens = [
-            registry.stream(f"kernel/{name}") for name in self.local_names
-        ]
-        self._block_len = plan.prefetch_cycles
-        self._blocks: List[Optional[np.ndarray]] = [None] * m
-        # Uniform-degree fast path: stack the per-server blocks into one
-        # (block_len, m, 2D) array at refill so the per-cycle draw is two
-        # slices instead of an m-iteration Python loop.  The draws (and
-        # their per-server stream order) are identical either way.
-        self._uniform_deg = bool(m) and D > 0 and bool((self.deg == D).all())
-        self._stacked_block: Optional[np.ndarray] = None
-        self._cursor = self._block_len  # force refill on first cycle
-        lo, hi = plan.delay_min, plan.delay_bound
-        self._delay_args = (lo, hi)
 
     # ---------------------------------------------------------------- drawing
 
     def _draw_cycle(self) -> Tuple[np.ndarray, np.ndarray]:
-        m, D = self._m, self._max_deg
-        if self._cursor >= self._block_len:
-            lo, hi = self._delay_args
-            if self._uniform_deg:
-                block = np.empty((self._block_len, m, 2 * D))
-                for i in range(m):
-                    block[:, i, :] = self._gens[i].uniform(
-                        lo, hi, size=(self._block_len, 2 * D)
-                    )
-                self._stacked_block = block
-            else:
-                for i in range(m):
-                    d = int(self.deg[i])
-                    if d:
-                        self._blocks[i] = self._gens[i].uniform(
-                            lo, hi, size=(self._block_len, 2 * d)
-                        )
-            self._cursor = 0
-        if self._uniform_deg:
-            row = self._stacked_block[self._cursor]
-            self._cursor += 1
-            return row[:, :D], row[:, D:]
-        d1 = np.zeros((m, D))
-        d2 = np.zeros((m, D))
-        for i in range(m):
-            d = int(self.deg[i])
-            if d:
-                row = self._blocks[i][self._cursor]
-                d1[i, :d] = row[:d]
-                d2[i, :d] = row[d:]
-        self._cursor += 1
-        return d1, d2
+        """This cycle's ``(m, D)`` request and reply delays."""
+        delays = np.append(self._delays.draw(self.cycle, *self._slots), 0.0)
+        table = delays[self._gather]
+        return table[:, : self._max_deg], table[:, self._max_deg :]
+
+    def _arrival_names(self, rows: np.ndarray, order: np.ndarray) -> List[List[str]]:
+        """Neighbour names of ``rows`` in arrival order (tracing only)."""
+        names = self.plan.names
+        ranks = self._comb_ranks[self._nbr_idx]
+        return [
+            [names[ranks[i, order[i, s]]] for s in range(int(self.deg[i]))]
+            for i in rows
+        ]
 
     # -------------------------------------------------------------- answering
 
@@ -236,29 +263,16 @@ class _BulkShard:
 
         Returns:
             ``(border_state, tagged_rows, events)`` where ``border_state``
-            holds the *whole local block*'s post-cycle state ``(4, m)`` —
-            the parent selects border columns — actually only border
-            columns, see :meth:`border_state`; events counts one poll plus
-            two deliveries per reply, matching the heap engine's ledger.
+            is the post-cycle state of this shard's border servers (see
+            :meth:`border_state`) and ``events`` counts one poll plus two
+            deliveries per reply, matching the heap engine's ledger.
         """
         plan = self.plan
-        m, D = self._m, self._max_deg
-        if halo_state.shape[1]:
-            snap = (
-                np.concatenate([self.seg_start, halo_state[0]]),
-                np.concatenate([self.seg_value, halo_state[1]]),
-                np.concatenate([self.eps, halo_state[2]]),
-                np.concatenate([self.r, halo_state[3]]),
-            )
-        else:
-            # Copies, not views: rounds mutate the live arrays in place and
-            # answers must come from the cycle-start snapshot.
-            snap = (
-                self.seg_start.copy(),
-                self.seg_value.copy(),
-                self.eps.copy(),
-                self.r.copy(),
-            )
+        D = self._max_deg
+        # Concatenation copies even with no halo: rounds mutate the live
+        # arrays in place and answers must come from the cycle-start state.
+        local = (self.seg_start, self.seg_value, self.eps, self.r)
+        snap = tuple(np.concatenate(pair) for pair in zip(local, halo_state))
         d1, d2 = self._draw_cycle()
         ta = self.poll_t[:, None] + d1
         tb = ta + d2
@@ -268,7 +282,6 @@ class _BulkShard:
         self.stats[0] += 1  # rounds
         self.stats[1] += self.deg  # replies_handled
         self.stats[5] += self.deg  # requests_answered (each neighbour polls once)
-        events = int(m + 2 * self.deg.sum())
         if D:
             order = np.argsort(tb_key, axis=1, kind="stable")
             if plan.flags.kind == "mm":
@@ -279,7 +292,7 @@ class _BulkShard:
             self._step_im_isolated(sent_local, rows_out)
         self.poll_t = self.poll_t + plan.tau  # repeated addition, like PeriodicTask
         self.cycle += 1
-        return self.border_state(), rows_out, events
+        return self.border_state(), rows_out, self._events
 
     def _step_mm(
         self,
@@ -306,7 +319,7 @@ class _BulkShard:
         rows2 = self._row_idx
         ta_o = ta[rows2, order]
         tb_o = tb_key[rows2, order]
-        np.copyto(tb_o, self.poll_t[:, None], where=self._invalid_rank)
+        np.copyto(tb_o, self.poll_t[:, None], where=self._invalid)
         idx_o = self._nbr_idx[rows2, order]
         flat_v, flat_e = self._answers(snap, idx_o.reshape(-1), ta_o.reshape(-1))
         vj_o = flat_v.reshape(m, D)
@@ -315,17 +328,12 @@ class _BulkShard:
         # transit leading edge stays ``(C_j + E_j) + (1+δ)·ξ`` left-assoc.
         vj_hi_o = vj_o + ej_o
         vj_lo_o = vj_o - ej_o
-        valid_o = self._valid_rank
+        valid_o = self._valid
         one_skew = self._one_skew
         one_delta = self._one_delta
         inflate = flags.inflate_rtt
         strict = flags.strict_improvement
-        names_o = None
-        if trace:
-            names_o = [
-                [self._nbr_names[i][order[i, s]] for s in range(int(self.deg[i]))]
-                for i in range(m)
-            ]
+        names_o = self._arrival_names(range(m), order) if trace else None
         for s in range(D):
             active = valid_o[:, s]
             tb_s = tb_o[:, s]
@@ -400,7 +408,7 @@ class _BulkShard:
         tb_o = tb_key[rp_col, order_rp]
         idx_o = self._nbr_idx[rp_col, order_rp]
         D = self._max_deg
-        valid_o = self._valid_rank[rp]
+        valid_o = self._valid[rp]
         tb_o = np.where(valid_o, tb_o, self.poll_t[rp][:, None])  # keep finite
         k_rows = np.arange(rp.size)
         value_j, error_j = self._answers(
@@ -443,10 +451,7 @@ class _BulkShard:
         self.stats[4, rp[~good]] += 1
         if self.plan.trace_enabled:
             cycle = self.cycle
-            arrival_names = [
-                [self._nbr_names[i][order[i, s]] for s in range(int(self.deg[i]))]
-                for i in rp
-            ]
+            arrival_names = self._arrival_names(rp, order)
 
             def slot_name(k: int, slot: int) -> str:
                 return "self" if slot == SELF_SLOT else arrival_names[k][slot]
@@ -544,8 +549,6 @@ class _BulkShard:
     def border_state(self) -> np.ndarray:
         """Post-cycle ``(4, n_border)`` state of this shard's border servers."""
         idx = self._border_local_idx
-        if not idx.size:
-            return self._empty_border
         return np.stack(
             [self.seg_start[idx], self.seg_value[idx], self.eps[idx], self.r[idx]]
         )
@@ -561,9 +564,9 @@ class _BulkShard:
         }
 
 
-def _shard_worker(conn, plan: KernelPlan, shard_index: int, shards: int) -> None:
+def _shard_worker(conn, plan: KernelPlan, layout: _ShardLayout) -> None:
     """Child-process loop: build the shard, serve step/collect commands."""
-    shard = _BulkShard(plan, shard_index, shards)
+    shard = _BulkShard(plan, layout)
     while True:
         msg = conn.recv()
         if msg[0] == "step":
@@ -581,8 +584,8 @@ class ShardedKernelService:
     With ``processes == 0`` shards advance serially in-process (fastest for
     small N; no pickling); with ``processes > 0`` shards are spread over
     forked worker processes and the barrier exchange rides ``Pipe``s.
-    Either way the results are identical — the exchange protocol and RNG
-    streams do not depend on the execution vehicle.
+    Either way the results are identical — the exchange protocol and the
+    delay table do not depend on the execution vehicle.
     """
 
     def __init__(self, config: KernelConfig, *, shards: int = 1, processes: int = 0) -> None:
@@ -590,25 +593,19 @@ class ShardedKernelService:
         n = len(self.plan.names)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        shards = min(shards, n)
-        self._shards_n = shards
-        blocks, halos, borders = _shard_metadata(self.plan, shards)
-        self._halo_names = halos
-        # Concatenated border table: shard s's border names occupy a
-        # contiguous slice; halo gathers index into the concatenation.
-        concat: List[str] = []
-        self._border_slices: List[slice] = []
-        for border in borders:
-            self._border_slices.append(slice(len(concat), len(concat) + len(border)))
-            concat.extend(border)
-        pos = {name: i for i, name in enumerate(concat)}
-        self._halo_src = [
-            np.array([pos[name] for name in halo], dtype=np.int64) for halo in halos
+        layouts = _shard_layouts(self.plan, min(shards, n))
+        # Concatenated border table: shard s's border servers occupy a
+        # contiguous slice, so the whole table ascends by rank and every
+        # halo (a set of other shards' border servers) is a searchsorted.
+        borders = [layout.lo + layout.border for layout in layouts]
+        concat = np.concatenate(borders) if borders else np.zeros(0, dtype=np.int64)
+        stops = np.cumsum([border.size for border in borders]).tolist()
+        self._border_slices = [
+            slice(stop - border.size, stop) for stop, border in zip(stops, borders)
         ]
-        self._border_table = np.zeros((4, len(concat)))
-        for i, name in enumerate(concat):
-            self._border_table[2, i] = self.plan.initial_errors[self.plan.index[name]]
-        self._phase_max = max(self.plan.phases) if self.plan.phases else 0.0
+        self._halo_src = [np.searchsorted(concat, layout.halo) for layout in layouts]
+        self._border_table = np.zeros((4, concat.size))
+        self._border_table[2] = self.plan.initial_errors[concat]
         self._now = 0.0
         self._cycles_done = 0
         self._events = 0
@@ -620,11 +617,11 @@ class ShardedKernelService:
         self._local: List[_BulkShard] = []
         if processes:
             ctx = multiprocessing.get_context("fork")
-            for s in range(shards):
+            for layout in layouts:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, self.plan, s, shards),
+                    args=(child_conn, self.plan, layout),
                     daemon=True,
                 )
                 proc.start()
@@ -632,22 +629,12 @@ class ShardedKernelService:
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
         else:
-            for s in range(shards):
-                self._local.append(_BulkShard(self.plan, s, shards))
+            self._local = [_BulkShard(self.plan, layout) for layout in layouts]
 
     # ---------------------------------------------------------------- control
 
-    def _cycle_close_bound(self, cycle: int) -> float:
-        """Latest possible close of any cycle-``cycle`` round."""
-        return (
-            self._phase_max + cycle * self.plan.tau + 2.0 * self.plan.delay_bound
-        )
-
     def _step_cycle(self) -> None:
-        halos = [
-            self._border_table[:, src] if src.size else np.zeros((4, 0))
-            for src in self._halo_src
-        ]
+        halos = [self._border_table[:, src] for src in self._halo_src]
         if self._conns:
             for conn, halo in zip(self._conns, halos):
                 conn.send(("step", halo))
@@ -674,7 +661,14 @@ class ShardedKernelService:
         """
         if time < self._now:
             raise ValueError(f"cannot run backwards to {time} from {self._now}")
-        while self._cycle_close_bound(self._cycles_done) <= time:
+        plan = self.plan
+        close_bound = partial(
+            cycle_close_bound,
+            servers=len(plan.names),
+            tau=plan.tau,
+            delay_bound=plan.delay_bound,
+        )
+        while close_bound(self._cycles_done) <= time:
             self._step_cycle()
         self._now = time
 
@@ -766,10 +760,8 @@ class ShardedKernelService:
     def snapshot(self) -> ServiceSnapshot:
         state = self._collect()
         t = self._now
-        skews = np.array(self.plan.skews)
-        deltas = np.array(self.plan.deltas)
-        value = state["seg_value"] + (t - state["seg_start"]) * (1.0 + skews)
-        error = state["eps"] + np.maximum(0.0, value - state["r"]) * deltas
+        value = state["seg_value"] + (t - state["seg_start"]) * (1.0 + self.plan.skews)
+        error = state["eps"] + np.maximum(0.0, value - state["r"]) * self.plan.deltas
         values: Dict[str, float] = {}
         errors: Dict[str, float] = {}
         offsets: Dict[str, float] = {}

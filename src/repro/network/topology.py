@@ -205,6 +205,28 @@ def stratum_of(name: str, prefix: str = "T") -> int:
     return int(head.split("-", 1)[0])
 
 
+def csr_adjacency(
+    graph: nx.Graph, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's adjacency as CSR arrays over server ranks.
+
+    ``index`` maps every node to its rank ``0..n-1``.  Returns ``(indptr,
+    indices)``: rank ``r``'s neighbours, ascending, are
+    ``indices[indptr[r]:indptr[r + 1]]``; a self-loop lists its server
+    once, as ``graph.neighbors`` does.
+    """
+    ends = np.fromiter(
+        (index[end] for edge in graph.edges() for end in edge), dtype=np.int64
+    ).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    twin = u != v
+    rows = np.concatenate([u, v[twin]])
+    cols = np.concatenate([v, u[twin]])
+    indptr = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(index)), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
+
+
 def validate_topology(
     graph: nx.Graph, *, present: Optional[Sequence[str]] = None
 ) -> None:

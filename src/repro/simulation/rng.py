@@ -34,6 +34,7 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._key_names: Dict[int, str] = {}
 
     @property
     def seed(self) -> int:
@@ -45,11 +46,21 @@ class RngRegistry:
 
         The same name always maps to the same generator object within one
         registry, so consumers can hold either the name or the generator.
+
+        Raises:
+            ValueError: If ``name`` shares its 32-bit key with a stream this
+                registry already made; the two would draw identical numbers.
         """
         if name not in self._streams:
             # Key the child seed on a stable hash of the stream name so that
             # stream identity does not depend on creation order.
             name_key = zlib.crc32(name.encode("utf-8"))
+            other = self._key_names.setdefault(name_key, name)
+            if other != name:
+                raise ValueError(
+                    f"stream names {other!r} and {name!r} share the crc32 key "
+                    f"{name_key:#010x}"
+                )
             seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(name_key,))
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]

@@ -9,23 +9,28 @@ in arithmetic, ordering, or RNG consumption fails loudly:
   as :func:`repro.service.builder.build_service`'s discrete-event run;
 * **bulk mode is deterministic** — same seed → identical trace and state
   digests across runs; different seed → different state;
-* **bulk mode is partition-invariant** — 1 shard, 4 shards, and 4 shards
-  across worker processes all produce identical digests, because RNG
-  streams are per-server and the trace merge is keyed on
+* **bulk mode is partition-invariant** — 1 shard, N shards, and N shards
+  across worker processes all produce identical digests, on uniform-degree
+  meshes and on the stratum hierarchy the scale gauntlet runs, because the
+  delay table is keyed by (seed, cycle, edge slot) and the trace merge by
   ``(cycle, phase rank, seq)``, neither of which depends on the partition.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import cli
 from repro.core.im import IMPolicy
 from repro.core.mm import MMPolicy
 from repro.network import ConstantDelay, UniformDelay
-from repro.network.topology import full_mesh, ring
+from repro.experiments import scale_gauntlet
+from repro.network.topology import full_mesh, ring, stratum_hierarchy
 from repro.service.builder import ServerSpec, build_service
 from repro.kernel import (
     KernelConfig,
+    DelayTable,
     build_kernel_service,
     plan_kernel,
     partition_names,
@@ -69,10 +74,22 @@ def kernel_service(graph, specs, policy, seed, **kwargs):
     )
 
 
+def stratum301():
+    return stratum_hierarchy(301)
+
+
+def default_specs(graph) -> list[ServerSpec]:
+    """``mesh_specs`` for S-named meshes; the scale gauntlet's per-stratum
+    specs for a stratum hierarchy."""
+    if "S1" in graph:
+        return mesh_specs(len(graph))
+    return scale_gauntlet.build_specs(graph)
+
+
 def bulk_digests(policy_name, *, graph=None, specs=None, seed=0,
                  horizon=200.0, shards=1, processes=0):
     graph = full_mesh(8) if graph is None else graph
-    specs = mesh_specs(len(graph)) if specs is None else specs
+    specs = default_specs(graph) if specs is None else specs
     policy = MMPolicy() if policy_name == "mm" else IMPolicy()
     with kernel_service(
         graph, specs, policy, seed, mode="bulk",
@@ -145,19 +162,62 @@ class TestBulkDeterminism:
 
     @pytest.mark.parametrize("policy_name", ["mm", "im"])
     @pytest.mark.parametrize(
-        "graph_factory", [lambda: full_mesh(8), lambda: ring(12)],
-        ids=["mesh8", "ring12"],
+        "graph_factory", [lambda: full_mesh(8), lambda: ring(12), stratum301],
+        ids=["mesh8", "ring12", "stratum301"],
     )
     def test_shard_count_invariance(self, policy_name, graph_factory):
         baseline = bulk_digests(policy_name, graph=graph_factory())
-        sharded = bulk_digests(policy_name, graph=graph_factory(), shards=4)
-        assert sharded == baseline
+        for shards in (3, 4, 7):
+            sharded = bulk_digests(policy_name, graph=graph_factory(), shards=shards)
+            assert sharded == baseline, f"{shards} shards"
 
     @pytest.mark.parametrize("policy_name", ["mm", "im"])
     def test_multiprocess_matches_in_process(self, policy_name):
         baseline = bulk_digests(policy_name)
         multi = bulk_digests(policy_name, shards=4, processes=2)
         assert multi == baseline
+        graph = stratum301()
+        baseline = bulk_digests(policy_name, graph=graph)
+        multi = bulk_digests(policy_name, graph=graph, shards=3, processes=2)
+        assert multi == baseline
+
+    def test_stratum_shards_start_mid_philox_block(self):
+        # Guard against vacuous invariance: some shard's first delay slot
+        # must fall inside a 4-word Philox block.
+        graph = stratum301()
+        plan = plan_kernel(KernelConfig(graph, default_specs(graph), MMPolicy(), TAU))
+        for shards in (3, 7):
+            blocks = partition_names(plan.names, shards)
+            firsts = [plan.index[block[0]] for block in blocks]
+            assert any(2 * plan.indptr[rank] % 4 for rank in firsts), shards
+
+    @pytest.mark.parametrize("cycle", [0, 2])
+    def test_draw_layout_is_philox_at_edge_slot(self, cycle):
+        graph = stratum301()
+        with kernel_service(
+            graph, default_specs(graph), MMPolicy(), 5, mode="bulk", shards=3,
+        ) as svc:
+            svc.run_until(cycle * TAU)
+            plan = svc.plan
+            lo, hi = plan.delay_min, plan.delay_bound
+            key = DelayTable(5, lo, hi).key
+            checked = 0
+            for shard in svc._local:
+                assert shard.cycle == cycle
+                d1, d2 = shard._draw_cycle()
+                for i, rank in enumerate(shard._ranks.tolist()):
+                    deg = int(plan.indptr[rank + 1] - plan.indptr[rank])
+                    slot = 2 * int(plan.indptr[rank])
+                    bitgen = np.random.Philox(
+                        key=key,
+                        counter=np.array([slot // 4, cycle, 0, 0], dtype=np.uint64),
+                    )
+                    bitgen.random_raw(slot % 4)
+                    expected = np.random.Generator(bitgen).uniform(lo, hi, 2 * deg)
+                    assert np.array_equal(d1[i, :deg], expected[:deg]), plan.names[rank]
+                    assert np.array_equal(d2[i, :deg], expected[deg:]), plan.names[rank]
+                    checked += 1
+            assert checked == 301
 
     def test_trace_disabled_keeps_state_digest(self):
         graph = full_mesh(8)
@@ -245,3 +305,31 @@ class TestPlanValidation:
             svc.run_until(50.0)
             with pytest.raises(ValueError, match="backwards"):
                 svc.run_until(20.0)
+
+
+# ------------------------------------------------------ scale gauntlet window
+
+
+class TestScaleGauntletWindow:
+    """Lemma 1 growth is measured between the midpoint and horizon
+    snapshots, over the cycles that actually closed between them."""
+
+    def test_three_cycles_measure_a_closed_window(self):
+        # 300 servers: the stagger gap tau/301 exceeds the round span, so
+        # cycle 0 closes by the midpoint tau and the window holds 2 cycles.
+        outcome = scale_gauntlet.run_scale(300, "MM", 0, cycles=3)
+        assert outcome.cycles_done == 3
+        assert outcome.growth_ok, outcome.strata
+
+    def test_window_without_a_closed_cycle_is_refused(self, capsys):
+        # 5000 servers: the last round of cycle 0 closes after tau, so the
+        # midpoint snapshot of a 3-cycle run would be the initial state.
+        with pytest.raises(ValueError, match="--cycles 3"):
+            scale_gauntlet.run_scale(5000, "MM", 0, cycles=3)
+        argv = ["scale-gauntlet", "--sizes", "1000", "5000", "--cycles", "3"]
+        assert cli.main(argv) == 2
+        assert "--cycles 3" in capsys.readouterr().err
+        for cycles in ("0", "1"):
+            argv = ["scale-gauntlet", "--sizes", "300", "--cycles", cycles]
+            assert cli.main(argv) == 2
+        assert "--cycles 1" in capsys.readouterr().err

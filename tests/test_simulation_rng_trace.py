@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceRecorder
@@ -48,6 +49,15 @@ class TestRngRegistry:
         a = RngRegistry(seed=7).fork("r").stream("x").uniform(size=4)
         b = RngRegistry(seed=7).fork("r").stream("x").uniform(size=4)
         assert np.array_equal(a, b)
+
+    def test_key_collision_names_both_streams(self):
+        # crc32("plumless") == crc32("buckeroo") == 0x4ddb0c25: without the
+        # check the two streams would draw identical numbers.
+        reg = RngRegistry(seed=7)
+        reg.stream("plumless")
+        with pytest.raises(ValueError, match="'plumless' and 'buckeroo'.*0x4ddb0c25"):
+            reg.stream("buckeroo")
+        assert reg.stream("plumless") is reg.stream("plumless")
 
 
 class TestTraceRecorder:
