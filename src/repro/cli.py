@@ -592,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--authenticated", action="store_true",
                      help="authenticate sync-plane messages: keyed MACs "
                           "over a canonical encoding, per-request nonces, "
-                          "an anti-replay window, and the delay guard "
-                          "(composes with --byzantine-tolerant)")
+                          "an anti-replay window, and the delay guard, on "
+                          "every server (composes with every other flag)")
     sim.add_argument("--holdover", action="store_true",
                      help="enable holdover mode and the slew/step safety "
                           "rails (implies --discipline and "

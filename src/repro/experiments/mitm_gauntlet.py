@@ -12,8 +12,8 @@ replies — each run under three arms:
 * ``hardened`` — :class:`~repro.service.hardening.HardenedTimeServer`:
   plausibility validation, health-score quarantine, but no
   cryptography and no transit-physics check;
-* ``authenticated`` —
-  :class:`~repro.security.server.AuthenticatedTimeServer`: keyed MACs
+* ``authenticated`` — the hardened server plus
+  :class:`~repro.security.server.AuthenticationMixin`: keyed MACs
   over a canonical encoding, per-request nonces, a per-peer
   anti-replay window, and the delay guard judging measured RTTs
   against the links' declared delay models.

@@ -1,7 +1,8 @@
-"""Authenticated time servers: the security layer composed into the stack.
+"""Authenticated time servers: the security layer of the server stack.
 
-:class:`AuthenticationMixin` threads the three guards through the
-:class:`~repro.service.server.TimeServer` security hooks:
+:class:`AuthenticationMixin`, the ``authenticated`` server layer, threads
+the three guards through the :class:`~repro.service.server.TimeServer`
+security hooks:
 
 * outgoing requests and replies are signed (:meth:`_prepare_request` /
   :meth:`_prepare_reply`);
@@ -26,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..byzantine.server import ByzantineTolerantServer
 from ..network.delay import DelayModel
-from ..service.hardening import HardenedTimeServer
 from ..service.messages import RequestKind, TimeReply, TimeRequest
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .auth import Keyring, MessageAuthenticator
@@ -36,8 +35,6 @@ from .delayguard import DelayGuard
 from .replay import ReplayGuard
 
 __all__ = [
-    "AuthenticatedByzantineServer",
-    "AuthenticatedTimeServer",
     "AuthenticationMixin",
     "SecurityConfig",
     "SecurityStats",
@@ -273,15 +270,3 @@ class AuthenticationMixin:
                 widen += judged.widen
         return None, widen
 
-
-class AuthenticatedTimeServer(AuthenticationMixin, HardenedTimeServer):
-    """A hardened server whose wire messages are authenticated."""
-
-
-class AuthenticatedByzantineServer(AuthenticationMixin, ByzantineTolerantServer):
-    """A Byzantine-tolerant server whose wire messages are authenticated.
-
-    Security rejections register falseticker evidence: an on-path
-    adversary corrupting a peer's link is indistinguishable, from the
-    victim's seat, from that peer lying — and the defense is the same.
-    """

@@ -9,8 +9,9 @@ needs (snapshots, error/asynchronism metrics, grid sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import networkx as nx
 
@@ -32,6 +33,7 @@ from ..network.transport import Network
 from ..recovery.server import SelfStabilizingServer
 from ..recovery.stabilizer import StabilizerConfig
 from ..recovery.store import StableStore
+from ..security.server import AuthenticationMixin, SecurityConfig
 from ..simulation.engine import SimulationEngine
 from ..simulation.rng import RngRegistry
 from ..simulation.trace import TraceRecorder
@@ -65,31 +67,32 @@ class ServerSpec:
             :class:`DriftingClock`.  Ignored when ``clock_factory`` is set.
         clock_factory: Full control over the clock construction.
         initial_error: ``ε_i`` at start.
-        reference: Build a :class:`ReferenceServer` instead (answer-only,
-            perfect clock); ``initial_error`` becomes the receiver error.
+        reference: Adds the ``reference`` layer, a :class:`ReferenceServer`
+            (answer-only, perfect clock; only ``security`` composes with
+            it); ``initial_error`` becomes the receiver error.
         polls: Whether the server runs synchronization rounds (reference
             servers never do).
-        rate_tracking: Build a
-            :class:`~repro.service.rate_tracking.RateTrackingServer`
-            (Section 5 consonance machinery) instead of a plain server.
-        discipline: Wrap the clock in a
-            :class:`~repro.clocks.disciplined.DisciplinedClock` and build a
-            :class:`~repro.service.discipline.DiscipliningServer` that
-            trims its own frequency from the measured neighbour rates
-            (implies ``rate_tracking``).
-        self_stabilizing: Build a
-            :class:`~repro.recovery.server.SelfStabilizingServer`
+        rate_tracking: Adds the
+            :class:`~repro.service.rate_tracking.RateTrackingServer` layer
+            (Section 5 consonance machinery).
+        discipline: Adds the
+            :class:`~repro.service.discipline.DiscipliningServer` layer,
+            which trims its own frequency from the measured neighbour
+            rates (implies ``rate_tracking``); the clock is wrapped in a
+            :class:`~repro.clocks.disciplined.DisciplinedClock`.
+        self_stabilizing: Adds the
+            :class:`~repro.recovery.server.SelfStabilizingServer` layer
             (checkpointing, consistency census, merge epochs — implies
             ``rate_tracking``); all such servers share the service's
             :class:`~repro.recovery.store.StableStore`.
-        byzantine_tolerant: Build a
-            :class:`~repro.byzantine.server.ByzantineTolerantServer`
+        byzantine_tolerant: Adds the
+            :class:`~repro.byzantine.server.ByzantineTolerantServer` layer
             (implies ``self_stabilizing``); pair it with an
             :class:`~repro.core.ft_im.FTIMPolicy` via ``policy_factory``
             to get classification-driven reputation.
-        holdover: Build a :class:`~repro.holdover.server.HoldoverServer`
-            (implies ``discipline`` and ``self_stabilizing``): the clock
-            is stacked as a :class:`~repro.clocks.slewing.SlewingClock`
+        holdover: Adds the :class:`~repro.holdover.server.HoldoverServer`
+            layer (implies ``discipline`` and ``self_stabilizing``): the
+            clock is stacked as a :class:`~repro.clocks.slewing.SlewingClock`
             over a :class:`DisciplinedClock`, and the server runs the
             SYNCED → HOLDOVER → DEGRADED → REINTEGRATING machine.  Knobs
             come from ``build_service``'s ``holdover`` config.
@@ -284,6 +287,122 @@ class SimulatedService:
         return names
 
 
+class _SlewAwareMixin:
+    """Charge pending slew to ``ε_i`` at reset, as the holdover layer does:
+    until a :class:`SlewingClock` has applied a reset, the displayed clock
+    is off by up to ``slew_remaining``, and MM-1 must cover that."""
+
+    def _apply_reset(self, *args, **kwargs):
+        result = super()._apply_reset(*args, **kwargs)
+        pending = getattr(self.clock, "slew_remaining", 0.0)
+        if pending:
+            self._epsilon += abs(pending)
+        return result
+
+
+def _holdover_clock(clock: Clock, settings: dict[str, Any]) -> Clock:
+    cfg = settings["holdover"]
+    return SlewingClock(
+        DisciplinedClock(clock),
+        slew_rate=cfg.slew_rate,
+        panic_threshold=cfg.panic_threshold,
+        sanity_bound=cfg.sanity_bound,
+    )
+
+
+class ServerLayer(NamedTuple):
+    """A layer's flag and class, the constructor kwargs it reads from the
+    settings, the prefix of its ``<rng>_rng`` stream (named
+    ``<rng>/<server>``), and how it wraps the server's clock."""
+
+    name: str
+    cls: type
+    kwargs: tuple[str, ...] = ()
+    rng: Optional[str] = None
+    clock: Optional[Callable[[Clock, dict[str, Any]], Clock]] = None
+
+
+_RECOVERY = ("store", "stabilizer_config")
+
+#: Every server layer, outermost first: a server's MRO lists its layers'
+#: classes in this order, then :class:`TimeServer`.  Implications (holdover
+#: ⇒ discipline + self-stabilizing, ...) live in the classes' inheritance.
+SERVER_LAYERS = (
+    ServerLayer("slew_aware", _SlewAwareMixin),
+    ServerLayer("authenticated", AuthenticationMixin, ("security",)),
+    ServerLayer(
+        "holdover", HoldoverServer, (*_RECOVERY, "holdover"), clock=_holdover_clock
+    ),
+    ServerLayer("discipline", DiscipliningServer, clock=lambda c, _: DisciplinedClock(c)),
+    ServerLayer(
+        "byzantine_tolerant", ByzantineTolerantServer, (*_RECOVERY, "byzantine")
+    ),
+    ServerLayer("self_stabilizing", SelfStabilizingServer, _RECOVERY),
+    ServerLayer("rate_tracking", RateTrackingServer),
+    ServerLayer("hardened", HardenedTimeServer, ("hardening",), "hardening"),
+    ServerLayer("capacity", LoadAwareServer, ("capacity", "load_policy"), "load"),
+    ServerLayer("reference", ReferenceServer),
+)
+
+
+@lru_cache(maxsize=None)
+def _compose(layers: frozenset[str]) -> tuple[type, tuple[ServerLayer, ...]]:
+    """The class carrying ``layers`` and its rows, minus any row whose
+    class is an ancestor of another's (the descendant covers its kwargs
+    and clock).  A single class is returned as itself."""
+    if {"hardened", "byzantine_tolerant"} <= layers:
+        raise ValueError(
+            "server layers 'hardened' and 'byzantine_tolerant' do not "
+            "compose: each keeps its own neighbour-health book"
+        )
+    beside_reference = sorted(layers - {"reference", "authenticated"})
+    if "reference" in layers and beside_reference:
+        raise ValueError(
+            f"server layers 'reference' and {beside_reference[0]!r} do not "
+            "compose: a reference server only answers, from a perfect clock"
+        )
+    rows = [row for row in SERVER_LAYERS if row.name in layers]
+    if len(rows) != len(layers):
+        raise ValueError(f"unknown server layer in {sorted(layers)}")
+    bases = [row.cls for row in rows] + [TimeServer]
+    bases = [
+        b for b in bases if not any(o is not b and issubclass(o, b) for o in bases)
+    ]
+    rows = [row for row in rows if row.cls in bases]
+    if len(bases) == 1:
+        return bases[0], tuple(rows)
+    name = "+".join(base.__name__ for base in bases)
+    return type(name, tuple(bases), {"__module__": __name__}), tuple(rows)
+
+
+def compose_server(
+    layers: Iterable[str],
+    settings: dict[str, Any],
+    name: str,
+    clock: Optional[Clock] = None,
+) -> tuple[type, Optional[Clock], dict[str, Any]]:
+    """Server ``name``'s class, wrapped clock and layer kwargs.
+
+    ``settings`` holds the kwargs the rows read (a missing one is None)
+    and ``rng``, a stream factory by name.  ``clock`` is the base clock
+    (None for a reference server).  A clock with slew rails adds the
+    ``slew_aware`` layer unless ``holdover``, which charges slew itself,
+    is present.  Raises ValueError, naming both, on a refused pair.
+    """
+    layers = frozenset(layers)
+    if "holdover" not in layers and hasattr(clock, "slew_remaining"):
+        layers |= {"slew_aware"}
+    server_class, rows = _compose(layers)
+    kwargs = {}
+    for row in rows:
+        kwargs.update((key, settings.get(key)) for key in row.kwargs)
+        if row.rng is not None:
+            kwargs[f"{row.rng}_rng"] = settings["rng"](f"{row.rng}/{name}")
+        if row.clock is not None:
+            clock = row.clock(clock, settings)
+    return server_class, clock, kwargs
+
+
 def build_service(
     graph: nx.Graph,
     specs: Sequence[ServerSpec],
@@ -308,7 +427,7 @@ def build_service(
     load_policy: Optional[LoadPolicy] = None,
     telemetry: Optional[ServiceTelemetry] = None,
     holdover: Optional[HoldoverConfig] = None,
-    security: Optional["SecurityConfig"] = None,
+    security: Optional[SecurityConfig] = None,
 ) -> SimulatedService:
     """Assemble a :class:`SimulatedService`.
 
@@ -331,11 +450,12 @@ def build_service(
         start: Start all servers immediately.
         stagger_polls: Give each server a deterministic phase offset so
             rounds do not all fire at the same instant.
-        hardening: When set, plain polling servers are built as
-            :class:`~repro.service.hardening.HardenedTimeServer` with this
-            configuration (reply validation, retries, adaptive timeouts,
-            neighbour quarantine).  Reference, rate-tracking and
-            disciplining servers are unaffected.
+        hardening: When set, every polling server gets the ``hardened``
+            layer (:class:`~repro.service.hardening.HardenedTimeServer`:
+            reply validation, retries, adaptive timeouts, neighbour
+            quarantine) with this configuration.  Refused with
+            ``byzantine_tolerant`` specs, which keep their own
+            neighbour-health book.
         stabilizer: Recovery-subsystem knobs for servers with
             ``self_stabilizing=True`` (checkpoint cadence, census
             horizon, merge hysteresis); None uses
@@ -344,12 +464,10 @@ def build_service(
             ``byzantine_tolerant=True`` (reputation, demotion, reply
             validation); None uses
             :class:`~repro.byzantine.server.ByzantineConfig` defaults.
-        capacity: When set, plain servers are built as
-            :class:`~repro.load.server.LoadAwareServer` with this
+        capacity: When set, every server gets the ``capacity`` layer
+            (:class:`~repro.load.server.LoadAwareServer` with this
             service-time/queue model — requests cost simulated CPU and
-            may be shed.  Not yet composable with hardening, recovery or
-            Byzantine server classes (those keep the paper's infinite
-            capacity); reference servers are unaffected.
+            may be shed).  Refused with reference specs.
         load_policy: Overload defences for capacity-model servers
             (admission bucket, shedding policy, degraded mode); None
             uses :class:`~repro.load.server.LoadPolicy` defaults
@@ -363,21 +481,24 @@ def build_service(
             reintegration rounds, slew rate, panic/sanity bounds); None
             uses :class:`~repro.holdover.controller.HoldoverConfig`
             defaults.
-        security: When set, polling servers are built authenticated
-            (:class:`~repro.security.server.AuthenticatedTimeServer`, or
-            :class:`~repro.security.server.AuthenticatedByzantineServer`
-            for ``byzantine_tolerant`` specs) sharing this config's
-            keyring: signed requests/replies, per-peer replay windows,
-            and the delay guard.  Composable with hardening and the
-            Byzantine layer; not yet with holdover/discipline/
-            rate-tracking/capacity servers or reference servers (their
-            replies would be unsigned and refused).
+        security: When set, every server — reference and non-polling
+            ones included — gets the ``authenticated`` layer
+            (:class:`~repro.security.server.AuthenticationMixin`) sharing
+            this config's keyring: signed requests/replies, per-peer
+            replay windows, and the delay guard.  Polling servers also get
+            the ``hardened`` layer (default knobs unless ``hardening`` is
+            set), except ``byzantine_tolerant`` ones, whose own
+            neighbour-health book takes the security rejections.
+
+    Each server's class is composed (:func:`compose_server`) from the
+    :data:`SERVER_LAYERS` its spec flags and the rules above give it.
 
     Returns:
         The wired service (engine at ``t = 0``).
 
     Raises:
-        ValueError: On duplicate/missing names or conflicting policy args.
+        ValueError: On duplicate/missing names, conflicting policy args,
+            or a server whose layers do not compose (naming both).
     """
     if policy is not None and policy_factory is not None:
         raise ValueError("pass either policy or policy_factory, not both")
@@ -429,93 +550,50 @@ def build_service(
         for spec in specs
     ):
         stable_store = StableStore()
-    holdover_cfg = holdover if holdover is not None else HoldoverConfig()
+    settings = dict(
+        rng=rng.stream,
+        security=security,
+        hardening=hardening,
+        capacity=capacity,
+        load_policy=load_policy,
+        store=stable_store,
+        stabilizer_config=stabilizer,
+        byzantine=byzantine,
+        holdover=holdover if holdover is not None else HoldoverConfig(),
+    )
     for spec in specs:
+        server_policy = policies[spec.name]
+        # Each spec flag named after a layer adds it; then the service-wide
+        # rules of the docstring.
+        layers = {row.name for row in SERVER_LAYERS if getattr(spec, row.name, False)}
+        if security is not None:
+            layers.add("authenticated")
+        if server_policy is not None and (
+            hardening is not None
+            or (security is not None and not spec.byzantine_tolerant)
+        ):
+            layers.add("hardened")
+        if capacity is not None:
+            layers.add("capacity")
         if spec.reference:
-            server: TimeServer = ReferenceServer(
+            server_class, _, extra = compose_server(layers, settings, spec.name)
+            server: TimeServer = server_class(
                 engine,
                 spec.name,
                 network,
                 receiver_error=spec.initial_error,
                 trace=trace,
                 telemetry=service_telemetry.server(spec.name),
+                **extra,
             )
         else:
             if spec.clock_factory is not None:
                 clock = spec.clock_factory(rng, spec.name)
             else:
                 clock = DriftingClock(spec.skew, epoch=0.0, initial=0.0)
-            server_policy = policies[spec.name]
-            recovery = recovery_factory(spec.name) if recovery_factory else None
-            extra = {}
-            if spec.holdover:
-                clock = SlewingClock(
-                    DisciplinedClock(clock),
-                    slew_rate=holdover_cfg.slew_rate,
-                    panic_threshold=holdover_cfg.panic_threshold,
-                    sanity_bound=holdover_cfg.sanity_bound,
-                )
-                server_class = HoldoverServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                    "holdover": holdover_cfg,
-                }
-            elif spec.discipline:
-                clock = DisciplinedClock(clock)
-                server_class = DiscipliningServer
-            elif spec.byzantine_tolerant:
-                server_class = ByzantineTolerantServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                    "byzantine": byzantine,
-                }
-                if security is not None:
-                    from ..security.server import AuthenticatedByzantineServer
-
-                    server_class = AuthenticatedByzantineServer
-                    extra["security"] = security
-            elif spec.self_stabilizing:
-                server_class = SelfStabilizingServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                }
-            elif spec.rate_tracking:
-                server_class = RateTrackingServer
-            elif security is not None and server_policy is not None:
-                from ..security.server import AuthenticatedTimeServer
-
-                server_class = AuthenticatedTimeServer
-                extra = {
-                    "hardening": hardening if hardening is not None else HardeningConfig(),
-                    "hardening_rng": rng.stream(f"hardening/{spec.name}"),
-                    "security": security,
-                }
-            elif hardening is not None and server_policy is not None:
-                server_class = HardenedTimeServer
-                extra = {
-                    "hardening": hardening,
-                    "hardening_rng": rng.stream(f"hardening/{spec.name}"),
-                }
-            elif capacity is not None:
-                server_class = LoadAwareServer
-                extra = {
-                    "capacity": capacity,
-                    "load_policy": load_policy,
-                    "load_rng": rng.stream(f"load/{spec.name}"),
-                }
-            else:
-                server_class = TimeServer
-            if capacity is not None and server_class not in (
-                LoadAwareServer,
-                TimeServer,
-            ):
-                raise ValueError(
-                    "capacity is not yet composable with hardened, "
-                    "rate-tracking, self-stabilizing or Byzantine servers"
-                )
+            server_class, clock, extra = compose_server(
+                layers, settings, spec.name, clock
+            )
             server = server_class(
                 engine,
                 spec.name,
@@ -526,7 +604,7 @@ def build_service(
                 tau=tau if server_policy is not None else None,
                 initial_error=spec.initial_error,
                 round_timeout=round_timeout,
-                recovery=recovery,
+                recovery=recovery_factory(spec.name) if recovery_factory else None,
                 trace=trace,
                 first_poll_at=phase.get(spec.name),
                 telemetry=service_telemetry.server(spec.name),

@@ -41,12 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..clocks.base import Clock
-from ..core.recovery import RecoveryStrategy
-from ..core.sync import SynchronizationPolicy
-from ..network.transport import Network
-from ..simulation.engine import SimulationEngine
-from ..simulation.trace import TraceRecorder
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .messages import RequestKind, TimeReply, TimeRequest
 from .server import TimeServer, _PollRound
@@ -312,40 +306,12 @@ class HardenedTimeServer(TimeServer):
 
     def __init__(
         self,
-        engine: SimulationEngine,
-        name: str,
-        clock: Clock,
-        delta: float,
-        network: Network,
-        policy: Optional[SynchronizationPolicy] = None,
-        tau: Optional[float] = None,
-        *,
-        initial_error: float = 0.0,
-        round_timeout: Optional[float] = None,
-        recovery: Optional[RecoveryStrategy] = None,
-        trace: Optional[TraceRecorder] = None,
-        poll_jitter=None,
-        first_poll_at: Optional[float] = None,
+        *args,
         hardening: Optional[HardeningConfig] = None,
         hardening_rng: Optional[np.random.Generator] = None,
         **kwargs,
     ) -> None:
-        super().__init__(
-            engine,
-            name,
-            clock,
-            delta,
-            network,
-            policy,
-            tau,
-            initial_error=initial_error,
-            round_timeout=round_timeout,
-            recovery=recovery,
-            trace=trace,
-            poll_jitter=poll_jitter,
-            first_poll_at=first_poll_at,
-            **kwargs,
-        )
+        super().__init__(*args, **kwargs)
         self.hardening = hardening if hardening is not None else HardeningConfig()
         self._hrng = hardening_rng
         self.health: Dict[str, NeighbourHealth] = {}

@@ -2,14 +2,16 @@
 
 Every gauntlet subcommand of ``repro`` keeps exactly these option
 strings with exactly these defaults; a harness refactor must not add,
-drop, or re-default any of them.
+drop, or re-default any of them.  Also: ``simulate --authenticated``
+signs every server, reference ones included, so a benign run ends
+exactly where the unauthenticated one does.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 
 SURFACE = {
     "blackout-gauntlet": {
@@ -80,3 +82,12 @@ def test_gauntlet_subcommand_flags_and_defaults():
             if action.option_strings and action.option_strings[0] != "-h"
         }
         assert options == expected, command
+
+
+def test_authenticated_reference_run_matches_plain(capsys):
+    tables = []
+    for extra in ([], ["--authenticated"]):
+        assert main(["simulate", "--reference", "1", *extra]) == 0
+        tables.append(capsys.readouterr().out)
+    assert "S1" in tables[0]
+    assert tables[1] == tables[0]

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.byzantine import ByzantineConfig
+from repro.byzantine import ByzantineConfig, ByzantineTolerantServer
 from repro.core.ft_im import FTIMPolicy
 from repro.core.mm import MMPolicy
 from repro.faults import FaultSchedule, MessageTamper
@@ -21,8 +21,6 @@ from repro.faults.injector import FaultInjector
 from repro.network.delay import UniformDelay
 from repro.network.topology import full_mesh
 from repro.security import (
-    AuthenticatedByzantineServer,
-    AuthenticatedTimeServer,
     DelayGuard,
     Keyring,
     MessageAuthenticator,
@@ -31,7 +29,9 @@ from repro.security import (
     canonical_decode,
     canonical_encode,
 )
+from repro.security.server import AuthenticationMixin
 from repro.service.builder import ServerSpec, build_service
+from repro.service.hardening import HardenedTimeServer
 from repro.service.messages import RequestKind, TimeReply, TimeRequest
 
 pytestmark = pytest.mark.security
@@ -270,7 +270,8 @@ class TestAuthenticatedService:
     def test_builder_produces_authenticated_servers(self):
         service = make_secure_mesh(3)
         for server in service.servers.values():
-            assert isinstance(server, AuthenticatedTimeServer)
+            assert isinstance(server, AuthenticationMixin)
+            assert isinstance(server, HardenedTimeServer)
 
     def test_authenticated_mesh_converges_cleanly(self):
         service = make_secure_mesh(3, tau=30.0)
@@ -285,7 +286,8 @@ class TestAuthenticatedService:
     def test_byzantine_composition(self):
         service = make_secure_mesh(4, byzantine=True)
         for server in service.servers.values():
-            assert isinstance(server, AuthenticatedByzantineServer)
+            assert isinstance(server, AuthenticationMixin)
+            assert isinstance(server, ByzantineTolerantServer)
         service.run_until(200.0)
         assert service.snapshot().all_correct
 
